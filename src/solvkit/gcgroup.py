@@ -6,10 +6,12 @@ conjugates the base generator ``b`` through the family ``b_i = b^(a^i)``,
 the ``b_i`` commute, and the single relation
 ``b_0^{c_0} b_1^{c_1} ... b_s^{c_s} = 1`` ties the family together.  The
 group embeds faithfully in ``Q^s x| Z``: ``b`` becomes the first basis
-vector of ``Q^s``, and ``a`` acts as the companion-shaped matrix returned
-by :func:`companion_action`.  All computations below happen in that
-faithful model with exact rationals, which is what makes the word problem
-and the other decision procedures here decidable by plain linear algebra.
+vector of ``Q^s``, and ``a`` acts as the companion-shaped matrix ``A`` of
+:func:`companion_action`: multiplication by ``x`` on ``Q[x]/(c)`` in the
+basis ``1, ..., x^{s-1}``.  So ``e_1 A^i = x^i mod c``, evaluation is the
+``Z wr Z`` lamp polynomial reduced modulo ``c``, and all arithmetic below
+runs on these residues (integer numerators over one denominator);
+``companion_action`` and ``linalg.mat_pow`` stay as API and test oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from .linalg import (
     Matrix,
     Scalar,
     exact_scalar,
-    mat_pow,
-    row_times_matrix,
     snf,
     solve_integer_system,
 )
 from .words import GeneratorWord, parse_word
+from .wreath import word_lamps
 
 DEFAULT_MEMBERSHIP_BOUND = 10
 DEFAULT_INDEX_WINDOW_CAP = 20
@@ -125,18 +126,66 @@ def companion_action(c: GcSignature) -> Matrix:
     return Matrix(rows)
 
 
-@lru_cache(maxsize=None)
-def action_power(c: GcSignature, k: int) -> Matrix:
-    """Exact ``A^k`` for the companion action (any integer k)."""
-    return mat_pow(companion_action(c), k)
+def _reduce(c: GcSignature, nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``(sum_j nums[j] x^j) / den mod c``: ``s`` integer numerators over a
+    positive denominator, in lowest terms, so equal residues are equal pairs."""
+    coeffs, s, nums = c.coeffs, c.s, list(nums)
+    lead = coeffs[s]
+    for top in range(len(nums) - 1, s - 1, -1):
+        # Cancel the top term with x^(top-s) c, scaling by c_s unless it divides.
+        q = nums.pop()
+        if q % lead:
+            nums, den = [lead * x for x in nums], den * lead
+        else:
+            q //= lead
+        for i in range(s):
+            nums[top - s + i] -= q * coeffs[i]
+    nums += [0] * (s - len(nums))
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _mul(c: GcSignature, a, b):
+    (p, dp), (q, dq) = a, b
+    prod = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                prod[i + j] += x * y
+    return _reduce(c, prod, dp * dq)
+
+
+def _x_power(c: GcSignature, k: int):
+    """``x^k mod c`` by square-and-multiply from ``x`` or, for negative k,
+    from ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``."""
+    nums, den = ([-x for x in c.coeffs[1:]], c.coeffs[0]) if k < 0 else ([0, 1], 1)
+    base, result, k = _reduce(c, nums, den), _reduce(c, [1], 1), abs(k)
+    while k:
+        if k & 1:
+            result = _mul(c, result, base)
+        k >>= 1
+        base = _mul(c, base, base) if k else base
+    return result
+
+
+def _shift_add(c: GcSignature, r, k: int, v):
+    """``r x^k + v`` for residues ``r`` and ``v``."""
+    (p, dp), (q, dq) = _mul(c, r, _x_power(c, k)), v
+    return _reduce(c, [x * dq + y * dp for x, y in zip(p, q)], dp * dq)
+
+
+def _residue(translation: Sequence[Scalar]):
+    den = math.lcm(*(x.denominator for x in translation))
+    return tuple(x.numerator * (den // x.denominator) for x in translation), den
+
+
+def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
+    return tuple(Fraction(x, den) if x % den else x // den for x in nums)
 
 
 def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
-    """``e_1 * A^i``, the model image of the conjugate generator ``b_i``."""
-    e1 = (1,) + (0,) * (c.s - 1)
-    if i == 0:
-        return e1
-    return row_times_matrix(e1, action_power(c, i))
+    """``e_1 * A^i = x^i mod c``, the model image of the conjugate ``b_i``."""
+    return _scalars(*_x_power(c, i))
 
 
 def gc_identity(c: GcSignature) -> GcElement:
@@ -155,17 +204,15 @@ def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
     """Product in ``Q^s x| Z``: ``(v1, k1)(v2, k2) = (v1 A^k2 + v2, k1+k2)``."""
     _require_same_signature(c, g)
     _require_same_signature(c, h)
-    moved = row_times_matrix(g.translation, action_power(c, h.shift))
-    return GcElement(
-        tuple(x + y for x, y in zip(moved, h.translation)), g.shift + h.shift
-    )
+    moved = _shift_add(c, _residue(g.translation), h.shift, _residue(h.translation))
+    return GcElement(_scalars(*moved), g.shift + h.shift)
 
 
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
     """Inverse: ``(v, k)^-1 = (-v A^-k, -k)``."""
     _require_same_signature(c, g)
-    moved = row_times_matrix(g.translation, action_power(c, -g.shift))
-    return GcElement(tuple(-x for x in moved), -g.shift)
+    moved = _mul(c, _residue(g.translation), _x_power(c, -g.shift))
+    return GcElement(tuple(-x for x in _scalars(*moved)), -g.shift)
 
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
@@ -177,25 +224,27 @@ def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
     return result
 
 
-def _letter_power(c: GcSignature, gen: str, exp: int) -> GcElement:
-    if gen == "a":
-        return GcElement((0,) * c.s, exp)
-    e1_scaled = (exp,) + (0,) * (c.s - 1)
-    return GcElement(e1_scaled, 0)
+def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
+    """``sum_p lamps[p] x^p mod c`` by Horner's rule from the highest lit
+    position down, so each gap between lamps costs one ``x^gap``."""
+    lit = sorted((pos for pos, val in lamps.items() if val), reverse=True)
+    residue, prev = _reduce(c, [0], 1), lit[0] if lit else 0
+    for pos in lit:
+        residue = _shift_add(c, residue, prev - pos, _reduce(c, [lamps[pos]], 1))
+        prev = pos
+    return _mul(c, residue, _x_power(c, prev))
 
 
 def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
     """Evaluate a word in ``a`` and ``b`` to its model element.
 
     ``a`` maps to the pure shift ``(0, 1)`` and ``b`` to ``(e_1, 0)``; the
-    empty word is the identity.
+    empty word is the identity.  The translation is the lamp polynomial modulo ``c``.
     """
     if isinstance(word, str):
         word = parse_word(word)
-    result = gc_identity(c)
-    for gen, exp in word.letters:
-        result = gc_mul(c, result, _letter_power(c, gen, exp))
-    return result
+    lamps, shift = word_lamps(word)
+    return GcElement(_scalars(*_lamp_residue(c, lamps)), shift)
 
 
 def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
@@ -215,15 +264,10 @@ def relator_check(c: GcSignature) -> bool:
     translations).  Returns True for every valid signature; False would
     mean the model construction itself is broken.
     """
-    s = c.s
-    accumulated = [Fraction(0)] * s
-    for i, coeff in enumerate(c.coeffs):
-        vec = basis_orbit_vector(c, i)
-        accumulated = [acc + coeff * x for acc, x in zip(accumulated, vec)]
-    if any(x != 0 for x in accumulated):
+    if any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0]):
         return False
     b0 = GcElement(basis_orbit_vector(c, 0), 0)
-    for i in range(-2, s + 2):
+    for i in range(-2, c.s + 2):
         bi = GcElement(basis_orbit_vector(c, i), 0)
         if gc_mul(c, b0, bi) != gc_mul(c, bi, b0):
             return False
@@ -263,11 +307,10 @@ def gc_is_proper(c: GcSignature) -> bool:
 
     The group is virtually abelian exactly when the companion action has
     finite multiplicative order, and finite order is equivalent to the
-    single exact test ``A^K = I`` with ``K = lcm{d : phi(d) <= s}``.
+    single exact test ``A^K = I`` with ``K = lcm{d : phi(d) <= s}``.  As
+    ``A`` is multiplication by ``x`` modulo ``c``, that is ``x^K = 1 mod c``.
     """
-    s = c.s
-    k = _finite_order_exponent(s)
-    return action_power(c, k) != Matrix.identity(s)
+    return _x_power(c, _finite_order_exponent(c.s)) != _reduce(c, [1], 1)
 
 
 def gc_abelianization(c: GcSignature) -> tuple[int, tuple[int, ...]]:
@@ -378,11 +421,7 @@ def base_membership(
             witness = tuple(
                 (power, coeff) for power, coeff in zip(powers, solution) if coeff
             )
-            combined = [Fraction(0)] * c.s
-            for power, coeff in witness:
-                vec = basis_orbit_vector(c, power)
-                combined = [acc + coeff * x for acc, x in zip(combined, vec)]
-            assert all(got == want for got, want in zip(combined, target))
+            assert _scalars(*_lamp_residue(c, dict(witness))) == target
             return MembershipResult(witness=witness)
     return MembershipResult(witness=None)
 
@@ -457,6 +496,8 @@ def power_subgroup_index(
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
+    if j_cap < 0:
+        raise ValueError("j_cap must be nonnegative")
     if t == 1:
         return PowerIndexResult(index=1)
     previous = None

@@ -50,7 +50,10 @@ def scalar_from_str(text) -> Scalar:
         return text
     if not isinstance(text, str):
         raise TypeError(f"expected a decimal string, got {type(text).__name__}")
-    return exact_scalar(Fraction(text))
+    try:
+        return exact_scalar(Fraction(text))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 class Matrix:
@@ -239,15 +242,6 @@ def _det_fraction(data) -> Fraction:
                 factor = a[i][k] / a[k][k]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
     return det
-
-
-def row_times_matrix(vector: Sequence[Scalar], matrix: Matrix) -> tuple[Scalar, ...]:
-    """Row vector times matrix, returned as a tuple of exact scalars."""
-    if len(vector) != matrix.rows:
-        raise DimensionError("vector length must equal matrix row count")
-    return tuple(
-        exact_scalar(Fraction(_dot(vector, matrix.column(j)))) for j in range(matrix.cols)
-    )
 
 
 def matrix_times_column(matrix: Matrix, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -450,9 +444,11 @@ def matrix_from_json(obj: dict) -> Matrix:
     """Inverse of :func:`matrix_to_json`; validates the declared shape."""
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        matrix = Matrix([[scalar_from_str(x) for x in row] for row in entries])
     except (TypeError, KeyError) as exc:
-        raise ValueError("matrix JSON needs 'rows', 'cols' and 'entries'") from exc
-    matrix = Matrix([[scalar_from_str(x) for x in row] for row in entries])
+        raise ValueError(
+            "matrix JSON needs 'rows', 'cols' and 'entries' of decimal strings"
+        ) from exc
     if (matrix.rows, matrix.cols) != (rows, cols):
         raise ValueError(
             f"declared shape {rows}x{cols} does not match entries "

@@ -109,20 +109,23 @@ def wr_pow(g: WreathElement, n: int) -> WreathElement:
     return result
 
 
-def _letter_power(gen: str, exp: int, modulus: int | None) -> WreathElement:
-    if gen == "a":
-        return WreathElement((), exp, modulus)
-    return WreathElement.from_support({0: exp}, 0, modulus)
+def word_lamps(word: GeneratorWord) -> tuple[dict[int, int], int]:
+    """Lamp values (zeros kept) and shift of the word's image in Z wr Z, in
+    one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``."""
+    lamps, t = {}, 0
+    for gen, exp in word.letters:
+        if gen == "a":
+            t += exp
+        else:
+            lamps[-t] = lamps.get(-t, 0) + exp
+    return {pos + t: val for pos, val in lamps.items()}, t
 
 
 def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElement:
     """Evaluate a word in ``a`` (shift) and ``b`` (lamp at the origin)."""
     if isinstance(word, str):
         word = parse_word(word)
-    result = WreathElement.identity(modulus)
-    for gen, exp in word.letters:
-        result = wr_mul(result, _letter_power(gen, exp, modulus))
-    return result
+    return WreathElement.from_support(*word_lamps(word), modulus)
 
 
 def wr_is_identity(g: WreathElement) -> bool:

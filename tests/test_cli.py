@@ -1,5 +1,6 @@
 import json
-
+import subprocess
+import sys
 
 import solvkit.verify
 from solvkit.cli import main
@@ -166,6 +167,35 @@ class TestErrorPaths:
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "gc", "eval", "--c", "2,-1")
         assert code == 1 and err
+
+    def test_huge_pure_shift_evaluates_promptly(self):
+        # A pure shift lights no lamp, so no power of the action is formed.
+        command = [sys.executable, "-m", "solvkit", "gc", "eval", "--c", "2,-1",
+                   "--json", "a^-99999999999999999999"]
+        result = subprocess.run(command, capture_output=True, timeout=30)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == (
+            b'{"translation": ["0"], "shift": "-99999999999999999999"}\n'
+        )
+
+    def test_zero_denominator_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "gc", "member", "--c", "2,-1", "--v", "1/0")
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
+
+    def test_non_string_matrix_entry_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 2, "entries": [[true, "1"]]}')
+        code, out, err = run_cli(capsys, "snf", "--in", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
+
+    def test_negative_index_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gc", "index", "--c", "2,-1", "--t", "3", "--cap", "-1", "--json"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,13 +26,14 @@ from solvkit.gcgroup import (
     power_subgroup_index,
     relator_check,
 )
-from solvkit.linalg import DimensionError, Matrix
+from solvkit.linalg import DimensionError, Matrix, mat_pow
 from solvkit.verify import (
     conjugate_commutator_word,
     defining_relator_word,
     random_signature,
     random_word,
 )
+from solvkit.wreath import WreathElement, wr_eval, wr_mul
 
 
 def char_poly_monic(a: Matrix) -> list[Fraction]:
@@ -225,6 +227,86 @@ class TestWordProblem:
         assert gc_is_identity(GcSignature((2, -1)), "b b a^-1 b^-1 a")
 
 
+def orbit_oracle(c: GcSignature, i: int) -> tuple:
+    """``e_1 A^i`` from the companion matrix."""
+    return mat_pow(companion_action(c), i).row(0)
+
+
+class TestResidueCoreAgainstMatrixModel:
+    """The polynomial residue arithmetic against the companion-matrix model."""
+
+    def test_orbit_vectors(self):
+        rng = random.Random(83)
+        for _ in range(6):
+            c = random_signature(rng, s_max=4)
+            for i in range(-30, 31):
+                assert basis_orbit_vector(c, i) == orbit_oracle(c, i)
+
+    def test_mul_and_inv(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            c = random_signature(rng, s_max=5)
+            g, h = (gc_eval(c, random_word(rng)) for _ in range(2))
+            a = companion_action(c)
+            moved = (Matrix([g.translation]) * mat_pow(a, h.shift)).row(0)
+            expected = tuple(x + y for x, y in zip(moved, h.translation))
+            assert gc_mul(c, g, h) == GcElement(expected, g.shift + h.shift)
+            moved = (Matrix([g.translation]) * mat_pow(a, -g.shift)).row(0)
+            assert gc_inv(c, g) == GcElement(tuple(-x for x in moved), -g.shift)
+
+    def test_eval_against_letter_fold(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            c = random_signature(rng, s_max=5)
+            word = random_word(rng, max_terms=14, max_exponent=6)
+            a = companion_action(c)
+            vector, shift = Matrix([(0,) * c.s]), 0
+            for gen, exp in word.letters:
+                if gen == "a":
+                    vector, shift = vector * mat_pow(a, exp), shift + exp
+                else:
+                    vector += Matrix([(exp,) + (0,) * (c.s - 1)])
+            assert gc_eval(c, word) == GcElement(vector.row(0), shift)
+
+    def test_long_conjugate(self):
+        for coeffs in ((2, -1), (1, 3, 0, -2, 1), (3, 1, -2)):
+            c = GcSignature(coeffs)
+            element = gc_eval(c, "a^-2000 b a^2000")
+            assert element == GcElement(orbit_oracle(c, 2000), 0)
+
+    def test_properness(self):
+        def totient(n):
+            return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+        cyclotomic_products = [
+            (1, -1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1), (1, 0, 0, 0, 1),
+            (1, 1, 1, 1, 1), (1, 0, 1, 0, 1), (-1, 0, 0, 0, 0, 0, 1),
+        ]
+        rng = random.Random(101)
+        signatures = [GcSignature(c) for c in cyclotomic_products]
+        signatures += [random_signature(rng, s_max=6, coeff_bound=2) for _ in range(12)]
+        for c in signatures:
+            k = math.lcm(*(d for d in range(1, 2 * c.s * c.s + 3) if totient(d) <= c.s))
+            finite = mat_pow(companion_action(c), k) == Matrix.identity(c.s)
+            assert gc_is_proper(c) == (not finite)
+        assert not all(gc_is_proper(c) for c in signatures)
+        assert any(gc_is_proper(c) for c in signatures)
+
+    def test_wreath_eval_against_letter_fold(self):
+        rng = random.Random(103)
+        for _ in range(100):
+            word = random_word(rng, max_terms=14, max_exponent=6)
+            for modulus in (None, rng.randint(2, 7)):
+                folded = WreathElement.identity(modulus)
+                for gen, exp in word.letters:
+                    if gen == "a":
+                        letter = WreathElement((), exp, modulus)
+                    else:
+                        letter = WreathElement.from_support({0: exp}, 0, modulus)
+                    folded = wr_mul(folded, letter)
+                assert wr_eval(word, modulus) == folded
+
+
 class TestProperness:
     def test_examples(self):
         assert gc_is_proper(GcSignature((2, -1)))
@@ -359,6 +441,11 @@ class TestPowerSubgroupIndex:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             power_subgroup_index(GcSignature((2, -1)), 0)
+
+    def test_negative_cap_rejected(self):
+        for t in (1, 3):
+            with pytest.raises(ValueError):
+                power_subgroup_index(GcSignature((2, -1)), t, j_cap=-1)
 
     def test_divides_power_bound(self):
         rng = random.Random(71)

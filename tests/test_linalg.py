@@ -276,8 +276,14 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json({"entries": [["1"]]})
 
+    def test_non_string_entry_rejected(self):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": [[True, "1"]]})
+
     def test_scalar_from_str(self):
         assert scalar_from_str("-7") == -7
         assert scalar_from_str("3/6") == Fraction(1, 2)
         with pytest.raises(TypeError):
             scalar_from_str(1.5)
+        with pytest.raises(ValueError):
+            scalar_from_str("1/0")
