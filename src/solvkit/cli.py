@@ -105,19 +105,8 @@ def _cmd_gc_interval(args) -> int:
 
 
 def _cmd_gc_index(args) -> int:
-    result = gcgroup.power_subgroup_index(_signature(args), args.t, args.cap)
-    if result.stabilized:
-        _emit(
-            args,
-            {"status": "index", "index": str(result.index)},
-            f"index {result.index}",
-        )
-    else:
-        _emit(
-            args,
-            {"status": "not_stabilized", "cap": str(args.cap)},
-            f"not stabilized within window cap {args.cap}",
-        )
+    index = gcgroup.power_subgroup_index(_signature(args), args.t, args.cap).index
+    _emit(args, {"status": "index", "index": str(index)}, f"index {index}")
     return 0
 
 

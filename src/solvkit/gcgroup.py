@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     Scalar,
     exact_scalar,
-    snf,
     solve_integer_system,
 )
 from .words import GeneratorWord, parse_word
@@ -216,23 +215,34 @@ def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
 
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
+    """``g^n`` by square-and-multiply; negative n inverts first."""
     if n < 0:
         return gc_pow(c, gc_inv(c, g), -n)
     result = gc_identity(c)
-    for _ in range(n):
-        result = gc_mul(c, result, g)
+    while n:
+        if n & 1:
+            result = gc_mul(c, result, g)
+        n >>= 1
+        g = gc_mul(c, g, g) if n else g
     return result
 
 
 def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
-    """``sum_p lamps[p] x^p mod c`` by Horner's rule from the highest lit
-    position down, so each gap between lamps costs one ``x^gap``."""
+    """``(sum_p lamps[p] x^(p - low) mod c, low)`` with ``low`` the lowest
+    lit position, by Horner's rule from the highest lit position down, so
+    each gap between lamps costs one ``x^gap`` and ``x^low`` is never formed."""
     lit = sorted((pos for pos, val in lamps.items() if val), reverse=True)
     residue, prev = _reduce(c, [0], 1), lit[0] if lit else 0
     for pos in lit:
         residue = _shift_add(c, residue, prev - pos, _reduce(c, [lamps[pos]], 1))
         prev = pos
-    return _mul(c, residue, _x_power(c, prev))
+    return residue, prev
+
+
+def _lamp_value(c: GcSignature, lamps: dict[int, int]) -> tuple[Scalar, ...]:
+    """``sum_p lamps[p] x^p mod c`` as scalars."""
+    residue, low = _lamp_residue(c, lamps)
+    return _scalars(*_mul(c, residue, _x_power(c, low)))
 
 
 def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
@@ -244,16 +254,21 @@ def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
     if isinstance(word, str):
         word = parse_word(word)
     lamps, shift = word_lamps(word)
-    return GcElement(_scalars(*_lamp_residue(c, lamps)), shift)
+    return GcElement(_lamp_value(c, lamps), shift)
 
 
 def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
     """Word problem: does the word represent the identity element?
 
     Decidable because the model representation is faithful, so a word is
-    trivial exactly when its translation vector and shift both vanish.
+    trivial exactly when its shift and its lamp residue both vanish.  The
+    residue is measured from the lowest lit lamp: ``x`` is a unit modulo
+    ``c`` (as ``c_0 != 0``), so that shift changes nothing but the cost.
     """
-    return gc_eval(c, word).is_identity
+    if isinstance(word, str):
+        word = parse_word(word)
+    lamps, shift = word_lamps(word)
+    return shift == 0 and not any(_lamp_residue(c, lamps)[0][0])
 
 
 def relator_check(c: GcSignature) -> bool:
@@ -264,7 +279,7 @@ def relator_check(c: GcSignature) -> bool:
     translations).  Returns True for every valid signature; False would
     mean the model construction itself is broken.
     """
-    if any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0]):
+    if any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0][0]):
         return False
     b0 = GcElement(basis_orbit_vector(c, 0), 0)
     for i in range(-2, c.s + 2):
@@ -289,42 +304,63 @@ def _totient(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def _finite_order_exponent(s: int) -> int:
-    # A rational s x s matrix of finite order has minimal polynomial a
-    # product of distinct cyclotomics of degree <= s, so its order divides
-    # lcm{d : phi(d) <= s}.  phi(d) >= sqrt(d/2) bounds the search range.
-    bound = 2 * s * s + 2
-    k = 1
-    for d in range(1, bound + 1):
-        if _totient(d) <= s:
-            k = math.lcm(k, d)
-    return k
+def _divide_monic(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """The quotient ``f / g`` in Z[x] for monic ``g`` (coefficients ascending,
+    ``len(f) >= len(g)``), or ``None`` when ``g`` does not divide ``f``."""
+    f, q = list(f), [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f[k + len(g) - 1]
+        if q[k]:
+            for j, y in enumerate(g):
+                f[k + j] -= q[k] * y
+    return None if any(f) else q
 
 
 def gc_is_proper(c: GcSignature) -> bool:
     """True when the group is not virtually abelian.
 
     The group is virtually abelian exactly when the companion action has
-    finite multiplicative order, and finite order is equivalent to the
-    single exact test ``A^K = I`` with ``K = lcm{d : phi(d) <= s}``.  As
-    ``A`` is multiplication by ``x`` modulo ``c``, that is ``x^K = 1 mod c``.
+    finite order, and by Kronecker's theorem (1857) that holds exactly when
+    ``c`` is ``+-`` a product of *distinct* cyclotomic polynomials ``Phi_d``.
+    Such a product has ``c_0, c_s = +-1`` and is its own reversal up to
+    sign, which settles most signatures at once; the rest are divided in
+    Z[x] by each ``Phi_d`` with ``phi(d)`` at most the remaining degree, once
+    and for ``d`` ascending, and are virtually abelian iff ``+-1`` remains.
+    ``phi(d) >= sqrt(d / 2)`` bounds the ``d`` to try by ``2 deg^2``.
     """
-    return _x_power(c, _finite_order_exponent(c.s)) != _reduce(c, [1], 1)
+    coeffs = c.coeffs
+    if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
+        return True
+    if coeffs[::-1] not in (coeffs, tuple(-x for x in coeffs)):
+        return True
+    rest, phis, d = list(coeffs), {}, 1
+    while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
+        if _totient(d) < len(rest):
+            # {d : phi(d) <= n} is closed under divisors, so every Phi_e with
+            # e | d is built: Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
+            phi = [-1] + [0] * (d - 1) + [1]
+            for e in range(1, d):
+                if d % e == 0:
+                    phi = _divide_monic(phi, phis[e])
+            phis[d] = phi
+            quotient = _divide_monic(rest, phi)
+            rest = rest if quotient is None else quotient
+        d += 1
+    return len(rest) > 1
 
 
 def gc_abelianization(c: GcSignature) -> tuple[int, tuple[int, ...]]:
     """Abelianized invariants ``(free_rank, torsion_factors)``.
 
     Abelianizing identifies all the ``b_i``, so the relation collapses to
-    ``(sum_i c_i) b = 0`` over the generators ``(b, a)``; the invariants
-    come from the Smith normal form of that 1 x 2 relation matrix.
+    ``(sum_i c_i) b = 0`` over the generators ``(b, a)``: with
+    ``sigma = sum_i c_i`` the answer is ``Z^2`` when ``sigma = 0``, else
+    ``Z`` times ``Z/|sigma|``.
     """
-    total = sum(c.coeffs)
-    result = snf(Matrix([[total, 0]]))
-    rank = len(result.invariant_factors)
-    torsion = tuple(f for f in result.invariant_factors if f > 1)
-    return 2 - rank, torsion
+    total = abs(sum(c.coeffs))
+    if total == 0:
+        return 2, ()
+    return 1, ((total,) if total > 1 else ())
 
 
 @dataclass(frozen=True)
@@ -342,21 +378,17 @@ def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupRe
 
     The subgroup is abelian with one banded relation for every full
     coefficient window inside the interval, so its presentation matrix is
-    ``band_matrix(c, generators - s)``; the Smith normal form of that
-    matrix is always ``(I | 0)``, which is why the report never contains
-    torsion.
+    ``band_matrix(c, n - s)`` for ``n = high - low + 1`` generators.  As
+    ``c`` is primitive that matrix has Smith normal form ``(I | 0)``, so
+    the report is ``relators = max(0, n - s)``, ``free_rank = min(n, s)``
+    and no torsion.
     """
     if low > high:
         raise ValueError("interval is empty: low > high")
     generators = high - low + 1
-    relator_count = max(0, generators - c.s)
-    if relator_count == 0:
-        return IntervalSubgroupReport(generators, 0, generators, ())
-    presentation = band_matrix(c, relator_count)
-    result = snf(presentation)
-    rank = len(result.invariant_factors)
-    torsion = tuple(f for f in result.invariant_factors if f > 1)
-    return IntervalSubgroupReport(generators, relator_count, generators - rank, torsion)
+    return IntervalSubgroupReport(
+        generators, max(0, generators - c.s), min(generators, c.s), ()
+    )
 
 
 @dataclass(frozen=True)
@@ -381,11 +413,6 @@ class MembershipResult:
         return dict(self.witness)
 
 
-def _window_vectors(c: GcSignature, j: int) -> list[tuple[Scalar, ...]]:
-    # Orbit window for symmetric depth j: powers -j .. j+s-1 (2j+s vectors).
-    return [basis_orbit_vector(c, i) for i in range(-j, j + c.s)]
-
-
 def base_membership(
     c: GcSignature,
     vector: Sequence,
@@ -404,7 +431,7 @@ def base_membership(
         raise ValueError("j_max must be nonnegative")
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))
-        vectors = _window_vectors(c, j)
+        vectors = [basis_orbit_vector(c, i) for i in powers]
         denominator = math.lcm(
             *(Fraction(x).denominator for vec in vectors for x in vec),
             *(x.denominator for x in target),
@@ -421,62 +448,31 @@ def base_membership(
             witness = tuple(
                 (power, coeff) for power, coeff in zip(powers, solution) if coeff
             )
-            assert _scalars(*_lamp_residue(c, dict(witness))) == target
+            if _lamp_value(c, dict(witness)) != target:
+                raise ArithmeticError("membership witness certificate failed")
             return MembershipResult(witness=witness)
     return MembershipResult(witness=None)
 
 
 @dataclass(frozen=True)
 class PowerIndexResult:
-    """Index of ``<a, b^t>``; ``index`` is ``None`` when the window search
-    hit its cap before stabilizing."""
+    """Index of ``<a, b^t>``.  The index is a closed form, so it is always
+    known and ``stabilized`` is always true."""
 
-    index: int | None
+    index: int
 
     @property
     def stabilized(self) -> bool:
-        return self.index is not None
+        return True
 
 
-def _lattice_covolume(vectors: list[tuple[Scalar, ...]], s: int) -> Fraction:
-    # Covolume of the full-rank lattice spanned by the given row vectors:
-    # clear denominators, then multiply the invariant factors.
-    denominator = math.lcm(*(Fraction(x).denominator for vec in vectors for x in vec))
-    integer_rows = Matrix(
-        [[int(Fraction(x) * denominator) for x in vec] for vec in vectors]
-    )
-    factors = snf(integer_rows).invariant_factors
-    if len(factors) < s:
-        raise ArithmeticError("window lattice unexpectedly degenerate")
-    product = 1
-    for f in factors:
-        product *= f
-    return Fraction(product, denominator**s)
-
-
-def _image_cardinality_step(c: GcSignature, t: int, j: int, j_outer: int) -> int:
-    # |window-j lattice : its intersection with t * (window-j_outer lattice)|,
-    # computed as a covolume ratio of full-rank lattices.
-    s = c.s
-    window = _window_vectors(c, j)
-    scaled_outer = [tuple(t * x for x in vec) for vec in _window_vectors(c, j_outer)]
-    cov_scaled = _lattice_covolume(scaled_outer, s)
-    cov_joined = _lattice_covolume(window + scaled_outer, s)
-    ratio = cov_scaled / cov_joined
-    assert ratio.denominator == 1 and ratio >= 1
-    return int(ratio)
-
-
-def _stable_image_cardinality(c: GcSignature, t: int, j: int, cap: int) -> int | None:
-    # The image of window j in the full quotient by the scaled base group:
-    # grow the outer window until the covolume ratio stops shrinking.
-    previous = None
-    for j_outer in range(j, j + cap + 1):
-        value = _image_cardinality_step(c, t, j, j_outer)
-        if value == previous:
-            return value
-        previous = value
-    return None
+def _part_over(t: int, g: int) -> int:
+    """The largest divisor of ``t`` whose primes all divide ``g``, found
+    without factoring ``t``."""
+    rest = t
+    while (common := math.gcd(rest, g)) > 1:
+        rest //= common
+    return t // rest
 
 
 def power_subgroup_index(
@@ -486,30 +482,26 @@ def power_subgroup_index(
 ) -> PowerIndexResult:
     """Index of the subgroup generated by ``a`` and ``b^t``.
 
-    Replacing ``b`` by ``b^t`` scales the base group by ``t``, so the index
-    equals the size of (base group) / (t * base group).  That quotient is
-    the increasing union of the images of finite orbit windows; each image
-    cardinality is an exact covolume ratio, the sequence is non-decreasing
-    and bounded by ``t**s``, and two consecutive equal window values are
-    taken as the stable answer (with ``j_cap`` as the escape hatch).  A
-    stabilized index always divides ``t**s``.
+    Replacing ``b`` by ``b^t`` scales the base group ``B = Z[x^+-1]/(c)`` by
+    ``t``, so the index is ``|B / tB| = prod_{p^e || t} p^(e (M_p - m_p))``,
+    where ``m_p`` and ``M_p`` are the lowest and highest indices of the
+    coefficients of ``c`` not divisible by ``p``.  Counting, for every
+    ``k = 1 .. s``, the primes of ``t`` that divide ``G_k = gcd(c_0 ..
+    c_{k-1})`` or ``H_k = gcd(c_{s-k+1} .. c_s)`` gives, with ``t_g`` the
+    part of ``t`` over the primes of ``g``,
+    ``index = t^s / prod_k (t_{G_k} t_{H_k})``, and ``t`` is never factored.
+    ``j_cap`` must be nonnegative but does not affect the answer.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
     if j_cap < 0:
         raise ValueError("j_cap must be nonnegative")
-    if t == 1:
-        return PowerIndexResult(index=1)
-    previous = None
-    for j in range(j_cap + 1):
-        value = _stable_image_cardinality(c, t, j, j_cap + 2)
-        if value is None:
-            return PowerIndexResult(index=None)
-        if value == previous:
-            assert 1 <= value <= t**c.s and t**c.s % value == 0
-            return PowerIndexResult(index=value)
-        previous = value
-    return PowerIndexResult(index=None)
+    coeffs, s = c.coeffs, c.s
+    denominator = 1
+    for k in range(1, s + 1):
+        denominator *= _part_over(t, math.gcd(*coeffs[:k]))
+        denominator *= _part_over(t, math.gcd(*coeffs[s - k + 1 :]))
+    return PowerIndexResult(index=t**s // denominator)
 
 
 def element_to_json(element: GcElement) -> dict:

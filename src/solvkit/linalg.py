@@ -362,8 +362,12 @@ def snf(matrix: Matrix) -> SNFResult:
     smith = Matrix(a)
     left_m = Matrix(left)
     right_m = Matrix(right)
-    assert left_m * matrix * right_m == smith
+    if left_m * matrix * right_m != smith:
+        raise ArithmeticError("SNF certificate L*M*R == S failed")
     return SNFResult(smith=smith, left=left_m, right=right_m, invariant_factors=factors)
+
+
+MINOR_BUDGET = 10**5
 
 
 def minor_gcds(matrix: Matrix) -> tuple[int, ...]:
@@ -372,9 +376,18 @@ def minor_gcds(matrix: Matrix) -> tuple[int, ...]:
     Enumerates every minor combinatorially, so the cost is exponential in
     the smaller dimension; this is an oracle for testing, not a production
     path.  Entry i is zero exactly when all (i+1) x (i+1) minors vanish.
+    A matrix with more than ``MINOR_BUDGET`` minors in all,
+    ``sum_k C(rows, k) C(cols, k) = C(rows + cols, rows) - 1``, is refused
+    with ``ValueError``.
     """
     if not matrix.is_integer:
         raise ValueError("minor_gcds is defined for integer matrices only")
+    count = math.comb(matrix.rows + matrix.cols, matrix.rows) - 1
+    if count > MINOR_BUDGET:
+        raise ValueError(
+            f"a {matrix.rows}x{matrix.cols} matrix has {count} minors, "
+            f"over the budget of {MINOR_BUDGET}"
+        )
     out = []
     k = min(matrix.rows, matrix.cols)
     for size in range(1, k + 1):
@@ -412,7 +425,8 @@ def solve_integer_system(matrix: Matrix, rhs: Sequence[int]) -> list[int] | None
         elif transformed[i] != 0:
             return None
     x = list(matrix_times_column(result.right, y))
-    assert list(matrix_times_column(matrix, x)) == list(rhs)
+    if list(matrix_times_column(matrix, x)) != list(rhs):
+        raise ArithmeticError("integer solution substitution certificate failed")
     return x
 
 

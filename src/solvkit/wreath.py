@@ -101,11 +101,15 @@ def wr_inv(g: WreathElement) -> WreathElement:
 
 
 def wr_pow(g: WreathElement, n: int) -> WreathElement:
+    """``g^n`` by square-and-multiply; negative n inverts first."""
     if n < 0:
         return wr_pow(wr_inv(g), -n)
     result = WreathElement.identity(g.modulus)
-    for _ in range(n):
-        result = wr_mul(result, g)
+    while n:
+        if n & 1:
+            result = wr_mul(result, g)
+        n >>= 1
+        g = wr_mul(g, g) if n else g
     return result
 
 

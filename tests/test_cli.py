@@ -65,6 +65,11 @@ class TestGcCommands:
     def test_index(self, capsys):
         code, out, _ = run_cli(capsys, "gc", "index", "--c", "2,-1", "--t", "3", "--json")
         assert json.loads(out) == {"status": "index", "index": "3"}
+        # the window cap does not affect the closed-form index
+        for cap in ("0", "20"):
+            code, out, _ = run_cli(capsys, "gc", "index", "--c", "1,2,-2,2,0,2,-2",
+                                   "--t", "32", "--cap", cap, "--json")
+            assert (code, json.loads(out)) == (0, {"status": "index", "index": "1"})
 
     def test_member_found(self, capsys):
         code, out, _ = run_cli(
@@ -177,6 +182,22 @@ class TestErrorPaths:
         assert result.stdout == (
             b'{"translation": ["0"], "shift": "-99999999999999999999"}\n'
         )
+
+    def test_huge_conjugated_relator_decides_promptly(self):
+        # The lamps sit at N and N + 1: x^N mod c must never be formed.
+        n = "99999999999999999999"
+        command = [sys.executable, "-m", "solvkit", "gc", "is-identity", "--c", "2,-1",
+                   "--json", f"a^-{n} b^2 a^-1 b^-1 a a^{n}"]
+        result = subprocess.run(command, capture_output=True, timeout=30)
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout) == {"is_identity": True}
+
+    def test_minors_over_budget_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(Matrix.identity(20))))
+        code, out, err = run_cli(capsys, "minors", "--in", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
 
     def test_zero_denominator_is_one_line(self, capsys):
         code, out, err = run_cli(capsys, "gc", "member", "--c", "2,-1", "--v", "1/0")

@@ -1,14 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from window_search import stable_image_cardinality, window_search_index
 
 from solvkit.gcgroup import (
     DEFAULT_INDEX_WINDOW_CAP,
     GcElement,
     GcSignature,
-    _stable_image_cardinality,
     band_matrix,
     base_membership,
     basis_orbit_vector,
@@ -26,7 +27,7 @@ from solvkit.gcgroup import (
     power_subgroup_index,
     relator_check,
 )
-from solvkit.linalg import DimensionError, Matrix, mat_pow
+from solvkit.linalg import DimensionError, Matrix, mat_pow, snf
 from solvkit.verify import (
     conjugate_commutator_word,
     defining_relator_word,
@@ -282,8 +283,14 @@ class TestResidueCoreAgainstMatrixModel:
             (1, -1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1), (1, 0, 0, 0, 1),
             (1, 1, 1, 1, 1), (1, 0, 1, 0, 1), (-1, 0, 0, 0, 0, 0, 1),
         ]
+        # repeated cyclotomic factors: (x - 1)^2, (x + 1)^2, (x - 1)^2 (x + 1),
+        # Phi_3^2, Phi_4^2, Phi_1^2 Phi_4^2, Phi_6^3
+        squared_factors = [
+            (1, -2, 1), (1, 2, 1), (1, -1, -1, 1), (1, 2, 3, 2, 1), (1, 0, 2, 0, 1),
+            (1, -2, 3, -4, 3, -2, 1), (-1, 3, -6, 7, -6, 3, -1),
+        ]
         rng = random.Random(101)
-        signatures = [GcSignature(c) for c in cyclotomic_products]
+        signatures = [GcSignature(c) for c in cyclotomic_products + squared_factors]
         signatures += [random_signature(rng, s_max=6, coeff_bound=2) for _ in range(12)]
         for c in signatures:
             k = math.lcm(*(d for d in range(1, 2 * c.s * c.s + 3) if totient(d) <= c.s))
@@ -291,6 +298,7 @@ class TestResidueCoreAgainstMatrixModel:
             assert gc_is_proper(c) == (not finite)
         assert not all(gc_is_proper(c) for c in signatures)
         assert any(gc_is_proper(c) for c in signatures)
+        assert all(gc_is_proper(GcSignature(c)) for c in squared_factors)
 
     def test_wreath_eval_against_letter_fold(self):
         rng = random.Random(103)
@@ -308,6 +316,12 @@ class TestResidueCoreAgainstMatrixModel:
 
 
 class TestProperness:
+    def test_large_root_answers_promptly(self):
+        c = GcSignature((1, 7) + (0,) * 10 + (1,))
+        start = time.process_time()
+        assert gc_is_proper(c)
+        assert time.process_time() - start < 0.05
+
     def test_examples(self):
         assert gc_is_proper(GcSignature((2, -1)))
         assert not gc_is_proper(GcSignature((1, 1)))
@@ -376,6 +390,15 @@ class TestIntervalSubgroup:
             assert report.free_rank == min(report.generators, c.s)
             assert report.torsion_factors == ()
             assert report.free_rank + report.relators == report.generators
+
+    def test_against_band_matrix_snf(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            c = random_signature(rng)
+            report = interval_subgroup(c, 0, rng.randint(c.s, c.s + 6))
+            factors = snf(band_matrix(c, report.relators)).invariant_factors
+            assert report.free_rank == report.generators - len(factors)
+            assert report.torsion_factors == tuple(f for f in factors if f > 1)
 
 
 class TestBaseMembership:
@@ -462,11 +485,34 @@ class TestPowerSubgroupIndex:
             c = random_signature(rng, s_max=2, coeff_bound=6)
             t = rng.randint(2, 6)
             values = [
-                _stable_image_cardinality(c, t, j, DEFAULT_INDEX_WINDOW_CAP + 2)
+                stable_image_cardinality(c, t, j, DEFAULT_INDEX_WINDOW_CAP + 2)
                 for j in range(4)
             ]
             assert all(v is not None for v in values)
             assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+
+    def test_closed_form_matches_window_search(self):
+        rng = random.Random(74)
+        for _ in range(300):
+            c = random_signature(rng, s_max=3, coeff_bound=9)
+            t = rng.randint(1, 12)
+            searched = window_search_index(c, t)
+            if searched is not None:
+                assert power_subgroup_index(c, t).index == searched, f"c={c}, t={t}"
+
+    def test_cap_does_not_change_the_answer(self):
+        # the window search with cap 20 does not stabilize here; the index is 1
+        c = GcSignature((1, 2, -2, 2, 0, 2, -2))
+        assert window_search_index(c, 32) is None
+        for cap in (0, 1, 20):
+            assert power_subgroup_index(c, 32, cap).index == 1
+
+    def test_large_t_is_not_factored(self):
+        # b^(2^k) generates nothing new in G((2,-1)); the odd part counts fully
+        odd = 10**30 + 57
+        start = time.process_time()
+        assert power_subgroup_index(GcSignature((2, -1)), 2**100 * odd).index == odd
+        assert time.process_time() - start < 1
 
 
 class TestTorsionFreeness:

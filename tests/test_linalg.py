@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from solvkit.linalg import (
+    MINOR_BUDGET,
     DimensionError,
     Matrix,
     SingularMatrixError,
@@ -181,6 +182,14 @@ class TestMinorGcds:
     def test_rejects_rational(self):
         with pytest.raises(ValueError):
             minor_gcds(Matrix([[Fraction(1, 2)]]))
+
+    def test_budget(self):
+        # sum_k C(r, k) C(c, k) = C(r + c, r) - 1 minors in all
+        assert 461 <= MINOR_BUDGET < 184755
+        assert minor_gcds(Matrix.identity(5)) == (1,) * 5
+        assert minor_gcds(Matrix([[1] * 6] * 5))[1] == 0
+        with pytest.raises(ValueError, match="budget"):
+            minor_gcds(Matrix.zeros(10, 10))
 
 
 class TestSolveIntegerSystem:

@@ -173,6 +173,23 @@ class TestTorsion:
             g = WreathElement.from_support(lamps, 0, modulus=n)
             assert wr_pow(g, n).is_identity
 
+    def test_long_power_by_squaring(self):
+        # n = 20000 folded one factor at a time rebuilds the support n times
+        expected = WreathElement.from_support({j: 1 for j in range(20000)}, 20000)
+        assert wr_pow(wr_eval("a b"), 20000) == expected
+
+    def test_power_matches_iteration(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            lamps = {rng.randint(-3, 3): rng.randint(-5, 5) for _ in range(3)}
+            g = WreathElement.from_support(lamps, rng.randint(-3, 3), rng.choice((None, 5)))
+            n = rng.randint(-9, 9)
+            step = g if n >= 0 else wr_inv(g)
+            folded = WreathElement.identity(g.modulus)
+            for _ in range(abs(n)):
+                folded = wr_mul(folded, step)
+            assert wr_pow(g, n) == folded
+
 
 class TestConjugationShift:
     def test_support_shifts_by_k(self):
