@@ -34,6 +34,7 @@ from .wreath import word_lamps
 
 DEFAULT_MEMBERSHIP_BOUND = 10
 DEFAULT_INDEX_WINDOW_CAP = 20
+RESIDUE_BITS_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -156,14 +157,24 @@ def _mul(c: GcSignature, a, b):
 
 def _x_power(c: GcSignature, k: int):
     """``x^k mod c`` by square-and-multiply from ``x`` or, for negative k,
-    from ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``."""
+    from ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``.
+
+    Unless every root of ``c`` is a root of unity, ``x^k`` has about
+    ``|k|`` bits, so a huge ``k`` would never finish: ``ValueError`` is
+    raised instead of squaring a base whose square would pass
+    ``RESIDUE_BITS_BUDGET`` bits (twice the bits of its numerators and
+    denominator)."""
     nums, den = ([-x for x in c.coeffs[1:]], c.coeffs[0]) if k < 0 else ([0, 1], 1)
-    base, result, k = _reduce(c, nums, den), _reduce(c, [1], 1), abs(k)
-    while k:
-        if k & 1:
+    base, result, n = _reduce(c, nums, den), _reduce(c, [1], 1), abs(k)
+    while n:
+        if n & 1:
             result = _mul(c, result, base)
-        k >>= 1
-        base = _mul(c, base, base) if k else base
+        n >>= 1
+        if n:
+            bits = base[1].bit_length() + sum(map(int.bit_length, base[0]))
+            if 2 * bits > RESIDUE_BITS_BUDGET:
+                raise ValueError(f"x^{k} mod c needs more than {RESIDUE_BITS_BUDGET} bits")
+            base = _mul(c, base, base)
     return result
 
 
@@ -424,25 +435,20 @@ def base_membership(
     reduces to an integer linear system after clearing denominators.  A
     found witness is verified exactly before being returned.
     """
-    target = tuple(Fraction(exact_scalar(x)) for x in vector)
+    target = tuple(exact_scalar(x) for x in vector)
     if len(target) != c.s:
         raise DimensionError(f"vector length {len(target)} != s = {c.s}")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    target_nums, target_den = _residue(target)
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))
-        vectors = [basis_orbit_vector(c, i) for i in powers]
-        denominator = math.lcm(
-            *(Fraction(x).denominator for vec in vectors for x in vec),
-            *(x.denominator for x in target),
-        )
+        residues = [_x_power(c, i) for i in powers]
+        den = math.lcm(target_den, *(d for _, d in residues))
         columns = Matrix(
-            [
-                [int(vectors[k][row] * denominator) for k in range(len(powers))]
-                for row in range(c.s)
-            ]
+            [[nums[row] * (den // d) for nums, d in residues] for row in range(c.s)]
         )
-        rhs = [int(x * denominator) for x in target]
+        rhs = [x * (den // target_den) for x in target_nums]
         solution = solve_integer_system(columns, rhs)
         if solution is not None:
             witness = tuple(

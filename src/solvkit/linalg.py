@@ -273,53 +273,49 @@ def snf(matrix: Matrix) -> SNFResult:
     division steps; whenever some remaining entry is not divisible by the
     pivot, the offending row is folded in and the reduction restarted, so
     the divisibility chain holds by construction.
+
+    All steps act on one work array that starts as ``[[M, I], [I, 0]]``.
+    Row steps touch only the top ``rows`` rows and column steps only the
+    left ``cols`` columns, so the array ends as ``[[S, L], [R, 0]]`` with
+    ``L M R = S``, and the transforms are read off it.
     """
     if not matrix.is_integer:
         raise ValueError("snf is defined for integer matrices only")
     rows, cols = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.rows_as_tuples()]
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+    w = [
+        list(row) + [int(i == j) for j in range(rows)]
+        for i, row in enumerate(matrix.rows_as_tuples())
+    ]
+    w += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     def add_row_multiple(dst, src, q):
         # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + q * y for x, y in zip(left[dst], left[src])]
+        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
 
     def add_col_multiple(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in right:
+        for row in w:
             row[dst] += q * row[src]
 
     def select_pivot(k) -> bool:
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+        # smallest |entry|, the first in row-major order on ties
+        best = min(
+            (
+                (abs(w[i][j]), i, j)
+                for i in range(k, rows)
+                for j in range(k, cols)
+                if w[i][j]
+            ),
+            default=None,
+        )
         if best is None:
             return False
-        if best[0] != k:
-            swap_rows(k, best[0])
-        if best[1] != k:
-            swap_cols(k, best[1])
-        if a[k][k] < 0:
-            negate_row(k)
+        _, i, j = best
+        w[k], w[i] = w[i], w[k]
+        if j != k:
+            for row in w:
+                row[k], row[j] = row[j], row[k]
+        if w[k][k] < 0:
+            w[k] = [-x for x in w[k]]
         return True
 
     for k in range(min(rows, cols)):
@@ -331,17 +327,17 @@ def snf(matrix: Matrix) -> SNFResult:
             # pivot, so re-selecting keeps the pivot shrinking and the
             # entries tame.
             for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
+                if w[i][k] != 0:
+                    q = w[i][k] // w[k][k]
                     if q:
                         add_row_multiple(i, k, -q)
             for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
+                if w[k][j] != 0:
+                    q = w[k][j] // w[k][k]
                     if q:
                         add_col_multiple(j, k, -q)
-            if any(a[i][k] for i in range(k + 1, rows)) or any(
-                a[k][j] for j in range(k + 1, cols)
+            if any(w[i][k] for i in range(k + 1, rows)) or any(
+                w[k][j] for j in range(k + 1, cols)
             ):
                 select_pivot(k)
                 continue
@@ -349,7 +345,7 @@ def snf(matrix: Matrix) -> SNFResult:
                 (
                     i
                     for i in range(k + 1, rows)
-                    if any(x % a[k][k] for x in a[i][k + 1 :])
+                    if any(x % w[k][k] for x in w[i][k + 1 : cols])
                 ),
                 None,
             )
@@ -357,14 +353,14 @@ def snf(matrix: Matrix) -> SNFResult:
                 break
             add_row_multiple(k, offender, 1)
 
-    diagonal = [a[i][i] for i in range(min(rows, cols))]
+    diagonal = (w[i][i] for i in range(min(rows, cols)))
     factors = tuple(itertools.takewhile(lambda d: d != 0, diagonal))
-    smith = Matrix(a)
-    left_m = Matrix(left)
-    right_m = Matrix(right)
-    if left_m * matrix * right_m != smith:
+    smith = Matrix(row[:cols] for row in w[:rows])
+    left = Matrix(row[cols:] for row in w[:rows])
+    right = Matrix(row[:cols] for row in w[rows:])
+    if left * matrix * right != smith:
         raise ArithmeticError("SNF certificate L*M*R == S failed")
-    return SNFResult(smith=smith, left=left_m, right=right_m, invariant_factors=factors)
+    return SNFResult(smith=smith, left=left, right=right, invariant_factors=factors)
 
 
 MINOR_BUDGET = 10**5

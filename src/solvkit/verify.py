@@ -133,20 +133,14 @@ def _identity_block(m: int, cols: int) -> Matrix:
 
 
 def check_band_snf_identity(
-    s_max: int = 5,
-    m_max: int = 6,
-    coeff_bound: int = 9,
-    samples: int = 100,
-    rng: random.Random | None = None,
+    samples: int = 100, rng: random.Random | None = None
 ) -> LemmaReport:
-    """SNF of every banded relation matrix is the identity block (I_m | 0)."""
+    """SNF of every banded relation matrix is the identity block (I_m | 0),
+    for random signatures and 1 <= m <= 6."""
     rng = rng or random.Random(0)
     rec = _Recorder("band-matrix-snf-identity-block")
     pinned = [(GcSignature((2, 3)), 2)]
-    cases = pinned + [
-        (random_signature(rng, s_max, coeff_bound), rng.randint(1, m_max))
-        for _ in range(samples)
-    ]
+    cases = pinned + [(random_signature(rng), rng.randint(1, 6)) for _ in range(samples)]
     for c, m in cases:
         smith = linalg.snf(band_matrix(c, m)).smith
         rec.case(smith == _identity_block(m, m + c.s), f"c={c}, m={m}")
@@ -154,29 +148,20 @@ def check_band_snf_identity(
 
 
 def check_snf_minor_gcds(
-    samples: int = 200,
-    dim_bound: int = 4,
-    entry_bound: int = 9,
-    rng: random.Random | None = None,
+    samples: int = 200, rng: random.Random | None = None
 ) -> LemmaReport:
     """Invariant factors against the brute-force minor-gcd oracle.
 
-    For each sampled integer matrix, ``sigma_i * gamma_{i-1} = gamma_i``
-    must hold up to the rank, where the gammas enumerate all minors.
+    For each sampled integer matrix (up to 4 x 5, entries in [-9, 9]),
+    ``sigma_i * gamma_{i-1} = gamma_i`` must hold up to the rank, where the
+    gammas enumerate all minors.
     """
-    if dim_bound > 5:
-        raise ValueError("dim_bound above 5 makes minor enumeration impractical")
     rng = rng or random.Random(0)
     rec = _Recorder("invariant-factors-vs-minor-gcds")
     for _ in range(samples):
-        rows = rng.randint(1, dim_bound)
-        cols = rng.randint(1, dim_bound + 1)
-        matrix = Matrix(
-            [
-                [rng.randint(-entry_bound, entry_bound) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 5)
+        matrix = Matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         gammas = (1,) + linalg.minor_gcds(matrix)
         sigmas = linalg.snf(matrix).invariant_factors
         ok = all(
@@ -198,41 +183,29 @@ def check_corner_minors(c: GcSignature, m: int) -> LemmaReport:
 
 
 def check_corner_minors_sampled(
-    samples: int = 50,
-    s_max: int = 5,
-    m_max: int = 6,
-    coeff_bound: int = 9,
-    rng: random.Random | None = None,
+    samples: int = 50, rng: random.Random | None = None
 ) -> LemmaReport:
     rng = rng or random.Random(0)
     reports = [check_corner_minors(GcSignature((2, 3)), 2)]
     for _ in range(samples):
-        reports.append(
-            check_corner_minors(
-                random_signature(rng, s_max, coeff_bound), rng.randint(1, m_max)
-            )
-        )
+        reports.append(check_corner_minors(random_signature(rng), rng.randint(1, 6)))
     return merge_reports("banded-corner-minors", reports)
 
 
 def check_relator_identities(
-    samples: int = 100,
-    s_max: int = 5,
-    coeff_bound: int = 9,
-    conjugate_range: int = 4,
-    rng: random.Random | None = None,
+    samples: int = 100, rng: random.Random | None = None
 ) -> LemmaReport:
     """Model images satisfy the defining relations, word by word."""
     rng = rng or random.Random(0)
     rec = _Recorder("companion-model-satisfies-relations")
     for _ in range(samples):
-        c = random_signature(rng, s_max, coeff_bound)
+        c = random_signature(rng)
         rec.case(relator_check(c), f"relator_check failed for c={c}")
         rec.case(
             gc_is_identity(c, defining_relator_word(c)),
             f"defining relator word not trivial for c={c}",
         )
-        i = rng.randint(-conjugate_range, conjugate_range)
+        i = rng.randint(-4, 4)
         rec.case(
             gc_is_identity(c, conjugate_commutator_word(i)),
             f"commutator [b, b_{i}] not trivial for c={c}",
@@ -241,11 +214,9 @@ def check_relator_identities(
 
 
 def check_torsion_free(
-    samples: int = 200,
-    max_power: int = 20,
-    rng: random.Random | None = None,
+    samples: int = 200, rng: random.Random | None = None
 ) -> LemmaReport:
-    """No nontrivial element has finite order up to the probed power."""
+    """No nontrivial element has finite order up to the 20th power."""
     rng = rng or random.Random(0)
     rec = _Recorder("torsion-free-power-probe")
     for _ in range(samples):
@@ -255,7 +226,7 @@ def check_torsion_free(
             element = gc_eval(c, random_word(rng))
         power = element
         ok = True
-        for _ in range(max_power):
+        for _ in range(20):
             if power.is_identity:
                 ok = False
                 break
@@ -282,11 +253,7 @@ def check_bs_crosscheck() -> LemmaReport:
 
 
 def check_power_index(
-    samples: int = 50,
-    s_max: int = 3,
-    t_max: int = 6,
-    coeff_bound: int = 9,
-    rng: random.Random | None = None,
+    samples: int = 50, rng: random.Random | None = None
 ) -> LemmaReport:
     """Power-subgroup indexes divide t**s; pinned values hold."""
     rng = rng or random.Random(0)
@@ -303,8 +270,8 @@ def check_power_index(
             f"index of <a, b^{t}> in G({c}) gave {result.index}, expected {expected}",
         )
     for _ in range(samples):
-        c = random_signature(rng, s_max, coeff_bound)
-        t = rng.randint(1, t_max)
+        c = random_signature(rng, s_max=3)
+        t = rng.randint(1, 6)
         result = power_subgroup_index(c, t)
         ok = 1 <= result.index and t**c.s % result.index == 0
         rec.case(ok, f"c={c}, t={t}: result={result.index}")
@@ -312,20 +279,16 @@ def check_power_index(
 
 
 def check_interval_subgroups(
-    samples: int = 100,
-    s_max: int = 5,
-    coeff_bound: int = 9,
-    max_width: int = 7,
-    rng: random.Random | None = None,
+    samples: int = 100, rng: random.Random | None = None
 ) -> LemmaReport:
     """Interval subgroups are free abelian of rank min(generators, s), and
     the closed-form report matches the SNF of the banded presentation."""
     rng = rng or random.Random(0)
     rec = _Recorder("interval-subgroups-free")
     for _ in range(samples):
-        c = random_signature(rng, s_max, coeff_bound)
+        c = random_signature(rng)
         low = rng.randint(-5, 5)
-        high = low + rng.randint(0, max_width)
+        high = low + rng.randint(0, 7)
         report = interval_subgroup(c, low, high)
         factors = ()
         if report.relators:

@@ -2,11 +2,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import solvkit.verify
 from solvkit.cli import main
 from solvkit.gcgroup import GcSignature, element_to_json, gc_eval
 from solvkit.linalg import Matrix, matrix_to_json, minor_gcds, snf
 from solvkit.verify import LemmaReport
+
+HUGE = "99999999999999999999"
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +195,28 @@ class TestErrorPaths:
         result = subprocess.run(command, capture_output=True, timeout=30)
         assert result.returncode == 0, result.stderr.decode()
         assert json.loads(result.stdout) == {"is_identity": True}
+
+    @pytest.mark.parametrize(
+        "command, word",
+        [("is-identity", f"b a^{HUGE} b^-1 a^-{HUGE}"), ("eval", f"a^-{HUGE} b a^{HUGE}")],
+    )
+    def test_huge_residue_is_refused_promptly(self, command, word):
+        # x^N mod (2 - x) is 2^N: the residue budget refuses it.
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", command, "--c", "2,-1", "--json", word],
+            capture_output=True,
+            timeout=5,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
+
+    def test_huge_conjugate_with_cyclotomic_signature_answers(self):
+        # For c = 1 + x the residue x^N = -1 stays small.
+        command = [sys.executable, "-m", "solvkit", "gc", "eval", "--c", "1,1", "--json",
+                   f"a^-{HUGE} b a^{HUGE}"]
+        result = subprocess.run(command, capture_output=True, timeout=5)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == b'{"translation": ["-1"], "shift": "0"}\n'
 
     def test_minors_over_budget_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "m.json"

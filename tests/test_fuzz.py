@@ -1,0 +1,89 @@
+"""Fuzz the command line in-process.
+
+Every call must end with exit code 0 or 1, leave stderr empty or with one
+line and no traceback, and finish within 10 s.  The examples are
+derandomized, so the suite runs the same calls every time.
+
+``gc member`` is outside the domain: it solves one window system for every
+``j`` up to ``--jmax``, so a large ``--jmax`` runs for hours (for example
+``--c 2,-1 --v 1/3 --jmax 100000000``) and no budget refuses it yet.
+"""
+
+import contextlib
+import io
+import math
+import signal
+
+from hypothesis import given, settings, strategies as st
+
+from solvkit.cli import main
+
+FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def _signature(first, middle, last):
+    # nonzero ends divided by their gcd: always a valid signature
+    coeffs = [first, *middle, last]
+    return ",".join(str(x // math.gcd(*coeffs)) for x in coeffs)
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+signatures = st.builds(_signature, nonzero, st.lists(st.integers(-9, 9), max_size=5), nonzero)
+exponents = st.one_of(
+    st.integers(-10, 10), st.integers(-(10**6), 10**6), st.integers(-(10**30), 10**30)
+)
+terms = st.tuples(st.sampled_from("ab"), exponents).map(lambda t: f"{t[0]}^{t[1]}")
+words = st.lists(terms, max_size=8).map(" ".join)
+moduli = st.one_of(st.none(), st.integers(-3, 12), st.integers(-(10**30), 10**30))
+
+
+class CallTimedOut(Exception):
+    # Not a ValueError or OSError, which main() would turn into exit code 1.
+    pass
+
+
+def _time_out(signum, frame):
+    raise CallTimedOut
+
+
+def assert_clean(argv):
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse --help
+                code = exc.code
+    except CallTimedOut:
+        raise AssertionError(f"{argv} did not finish within 10 s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert code in (0, 1), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert err == "" or (err.endswith("\n") and err.count("\n") == 1), (argv, err)
+
+
+commands = st.sampled_from(["eval", "is-identity"])
+
+
+@FUZZ
+@given(commands, signatures, st.booleans(), words)
+def test_gc_words(command, c, json_flag, word):
+    assert_clean(["gc", command, f"--c={c}"] + ["--json"] * json_flag + [word])
+
+
+@FUZZ
+@given(commands, st.one_of(signatures, st.text(max_size=12)), st.text(max_size=20))
+def test_gc_text(command, c, text):
+    assert_clean(["gc", command, f"--c={c}", text])
+
+
+@FUZZ
+@given(moduli, st.booleans(), st.one_of(words, st.text(max_size=20)))
+def test_wreath_eval(modulus, json_flag, word):
+    mod = [] if modulus is None else [f"--mod={modulus}"]
+    assert_clean(["wreath", "eval"] + mod + ["--json"] * json_flag + [word])

@@ -55,10 +55,6 @@ class TestIndividualChecks:
     def test_snf_minor_gcds(self):
         assert check_snf_minor_gcds(samples=60, rng=random.Random(2)).passed
 
-    def test_snf_minor_gcds_dim_bound_guard(self):
-        with pytest.raises(ValueError):
-            check_snf_minor_gcds(dim_bound=6)
-
     def test_corner_minors_single(self):
         report = check_corner_minors(GcSignature((2, 3)), 2)
         assert report.passed and report.cases_run == 2
