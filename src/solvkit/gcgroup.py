@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .linalg import (
@@ -35,6 +34,8 @@ from .wreath import word_lamps
 DEFAULT_MEMBERSHIP_BOUND = 10
 DEFAULT_INDEX_WINDOW_CAP = 20
 RESIDUE_BITS_BUDGET = 2**20
+STEP_LIMIT = 32
+MEMBERSHIP_WINDOW_BUDGET = 50
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,6 @@ def band_matrix(c: GcSignature, m: int) -> Matrix:
     )
 
 
-@lru_cache(maxsize=None)
 def companion_action(c: GcSignature) -> Matrix:
     """The s x s rational matrix giving the stable letter's action on Q^s.
 
@@ -156,14 +156,17 @@ def _mul(c: GcSignature, a, b):
 
 
 def _x_power(c: GcSignature, k: int):
-    """``x^k mod c`` by square-and-multiply from ``x`` or, for negative k,
-    from ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``.
+    """``x^k mod c``: stepped from ``1`` when ``|k| <= STEP_LIMIT``, else by
+    square-and-multiply from ``x`` or, for negative k, from
+    ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``.
 
     Unless every root of ``c`` is a root of unity, ``x^k`` has about
     ``|k|`` bits, so a huge ``k`` would never finish: ``ValueError`` is
     raised instead of squaring a base whose square would pass
     ``RESIDUE_BITS_BUDGET`` bits (twice the bits of its numerators and
     denominator)."""
+    if abs(k) <= STEP_LIMIT:
+        return _times_x_power(c, _reduce(c, [1], 1), k)
     nums, den = ([-x for x in c.coeffs[1:]], c.coeffs[0]) if k < 0 else ([0, 1], 1)
     base, result, n = _reduce(c, nums, den), _reduce(c, [1], 1), abs(k)
     while n:
@@ -178,9 +181,24 @@ def _x_power(c: GcSignature, k: int):
     return result
 
 
+def _times_x_power(c: GcSignature, r, k: int):
+    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps, the top-term cancellation
+    of :func:`_reduce` multiplies by ``x`` once per step, which is cheaper
+    than forming ``x^k``.  For negative ``k`` it runs against reversed ``c``
+    on reversed numerators: ``p x^-1 = q mod c`` exactly when
+    ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of ``c``."""
+    nums, den = r
+    if 0 <= k <= STEP_LIMIT:
+        return _reduce(c, [0] * k + list(nums), den)
+    if -STEP_LIMIT <= k < 0:
+        nums, den = _reduce(GcSignature(c.coeffs[::-1]), [0] * -k + list(nums[::-1]), den)
+        return nums[::-1], den
+    return _mul(c, r, _x_power(c, k))
+
+
 def _shift_add(c: GcSignature, r, k: int, v):
     """``r x^k + v`` for residues ``r`` and ``v``."""
-    (p, dp), (q, dq) = _mul(c, r, _x_power(c, k)), v
+    (p, dp), (q, dq) = _times_x_power(c, r, k), v
     return _reduce(c, [x * dq + y * dp for x, y in zip(p, q)], dp * dq)
 
 
@@ -221,7 +239,7 @@ def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
     """Inverse: ``(v, k)^-1 = (-v A^-k, -k)``."""
     _require_same_signature(c, g)
-    moved = _mul(c, _residue(g.translation), _x_power(c, -g.shift))
+    moved = _times_x_power(c, _residue(g.translation), -g.shift)
     return GcElement(tuple(-x for x in _scalars(*moved)), -g.shift)
 
 
@@ -253,7 +271,7 @@ def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
 def _lamp_value(c: GcSignature, lamps: dict[int, int]) -> tuple[Scalar, ...]:
     """``sum_p lamps[p] x^p mod c`` as scalars."""
     residue, low = _lamp_residue(c, lamps)
-    return _scalars(*_mul(c, residue, _x_power(c, low)))
+    return _scalars(*_times_x_power(c, residue, low))
 
 
 def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
@@ -433,13 +451,18 @@ def base_membership(
 
     Windows ``j = 0 .. j_max`` take the powers ``-j .. j+s-1``; each window
     reduces to an integer linear system after clearing denominators.  A
-    found witness is verified exactly before being returned.
+    found witness is verified exactly before being returned.  Window ``j``
+    solves an ``s x (2j + s)`` system and a miss solves them all, so
+    ``j_max`` above ``MEMBERSHIP_WINDOW_BUDGET`` is refused with
+    ``ValueError``.
     """
     target = tuple(exact_scalar(x) for x in vector)
     if len(target) != c.s:
         raise DimensionError(f"vector length {len(target)} != s = {c.s}")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
+    if j_max > MEMBERSHIP_WINDOW_BUDGET:
+        raise ValueError(f"j_max {j_max} is over the budget of {MEMBERSHIP_WINDOW_BUDGET}")
     target_nums, target_den = _residue(target)
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))

@@ -384,13 +384,13 @@ def minor_gcds(matrix: Matrix) -> tuple[int, ...]:
             f"a {matrix.rows}x{matrix.cols} matrix has {count} minors, "
             f"over the budget of {MINOR_BUDGET}"
         )
-    out = []
+    out, data = [], matrix.rows_as_tuples()
     k = min(matrix.rows, matrix.cols)
     for size in range(1, k + 1):
         g = 0
-        for row_sel in itertools.combinations(range(matrix.rows), size):
+        for rows in itertools.combinations(data, size):
             for col_sel in itertools.combinations(range(matrix.cols), size):
-                g = math.gcd(g, matrix.submatrix(row_sel, col_sel).det())
+                g = math.gcd(g, _det_bareiss([[row[j] for j in col_sel] for row in rows]))
         out.append(g)
     return tuple(out)
 

@@ -218,6 +218,17 @@ class TestErrorPaths:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout == b'{"translation": ["-1"], "shift": "0"}\n'
 
+    def test_membership_over_window_budget_is_refused_promptly(self):
+        # One window system per j: --jmax 100000000 would run for hours.
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", "member", "--c", "2,-1", "--v", "1/3",
+             "--jmax", "100000000"],
+            capture_output=True,
+            timeout=5,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
+
     def test_minors_over_budget_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_json(Matrix.identity(20))))

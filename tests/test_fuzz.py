@@ -3,10 +3,6 @@
 Every call must end with exit code 0 or 1, leave stderr empty or with one
 line and no traceback, and finish within 10 s.  The examples are
 derandomized, so the suite runs the same calls every time.
-
-``gc member`` is outside the domain: it solves one window system for every
-``j`` up to ``--jmax``, so a large ``--jmax`` runs for hours (for example
-``--c 2,-1 --v 1/3 --jmax 100000000``) and no budget refuses it yet.
 """
 
 import contextlib
@@ -87,3 +83,22 @@ def test_gc_text(command, c, text):
 def test_wreath_eval(modulus, json_flag, word):
     mod = [] if modulus is None else [f"--mod={modulus}"]
     assert_clean(["wreath", "eval"] + mod + ["--json"] * json_flag + [word])
+
+
+# A zero denominator is a bad input too.
+scalars = st.builds(lambda n, d: f"{n}/{d}", st.integers(-20, 20), st.integers(0, 12))
+jmaxes = st.one_of(st.integers(-3, 60), st.integers(-(10**30), 10**30))
+
+
+def _with_vector(c):
+    # a vector of length s, so that the windows are searched
+    s = c.count(",")
+    return st.tuples(st.just(c), st.lists(scalars, min_size=s, max_size=s).map(",".join))
+
+
+@FUZZ
+@given(signatures.flatmap(_with_vector), jmaxes, st.booleans())
+def test_gc_member(c_and_vector, jmax, json_flag):
+    c, vector = c_and_vector
+    assert_clean(["gc", "member", f"--c={c}", f"--v={vector}", f"--jmax={jmax}"]
+                 + ["--json"] * json_flag)

@@ -8,6 +8,8 @@ from window_search import stable_image_cardinality, window_search_index
 
 from solvkit.gcgroup import (
     DEFAULT_INDEX_WINDOW_CAP,
+    MEMBERSHIP_WINDOW_BUDGET,
+    STEP_LIMIT,
     GcElement,
     GcSignature,
     band_matrix,
@@ -255,6 +257,24 @@ class TestResidueCoreAgainstMatrixModel:
             moved = (Matrix([g.translation]) * mat_pow(a, -g.shift)).row(0)
             assert gc_inv(c, g) == GcElement(tuple(-x for x in moved), -g.shift)
 
+    def test_shifts_on_both_sides_of_step_limit(self):
+        # |c_0|, |c_s| > 1, so x^k and x^-k both carry real denominators.
+        assert STEP_LIMIT < 80
+        rng = random.Random(101)
+        for coeffs in [(2, -3), (3, 1, -2), (-2, 0, 5, 3), (2, 1, 0, -1, 3)]:
+            c = GcSignature(coeffs)
+            a = companion_action(c)
+            for k in range(-80, 81):
+                power = mat_pow(a, k)
+                assert basis_orbit_vector(c, k) == power.row(0)
+                g, w = (gc_eval(c, random_word(rng)) for _ in range(2))
+                h = GcElement(w.translation, k)
+                moved = (Matrix([g.translation]) * power).row(0)
+                expected = tuple(x + y for x, y in zip(moved, h.translation))
+                assert gc_mul(c, g, h) == GcElement(expected, g.shift + k)
+                moved = (Matrix([h.translation]) * mat_pow(a, -k)).row(0)
+                assert gc_inv(c, h) == GcElement(tuple(-x for x in moved), -k)
+
     def test_eval_against_letter_fold(self):
         rng = random.Random(97)
         for _ in range(60):
@@ -421,6 +441,12 @@ class TestBaseMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             base_membership(GcSignature((2, -1)), [1, 2], 1)
+
+    def test_window_budget(self):
+        c = GcSignature((2, -1))
+        assert not base_membership(c, [Fraction(1, 3)], MEMBERSHIP_WINDOW_BUDGET).is_member
+        with pytest.raises(ValueError, match="budget"):
+            base_membership(c, [Fraction(1, 3)], MEMBERSHIP_WINDOW_BUDGET + 1)
 
     def test_witness_verified_independently(self):
         rng = random.Random(67)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -182,6 +183,20 @@ class TestMinorGcds:
     def test_rejects_rational(self):
         with pytest.raises(ValueError):
             minor_gcds(Matrix([[Fraction(1, 2)]]))
+
+    def test_against_submatrix_determinants(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            m = Matrix([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
+            expected = []
+            for size in range(1, min(rows, cols) + 1):
+                g = 0
+                for row_sel in itertools.combinations(range(rows), size):
+                    for col_sel in itertools.combinations(range(cols), size):
+                        g = math.gcd(g, m.submatrix(row_sel, col_sel).det())
+                expected.append(g)
+            assert minor_gcds(m) == tuple(expected)
 
     def test_budget(self):
         # sum_k C(r, k) C(c, k) = C(r + c, r) - 1 minors in all

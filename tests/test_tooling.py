@@ -3,7 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "solvkit").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "solvkit").glob("*.py"))
 
 
 def test_no_bare_asserts_in_library():
@@ -25,3 +26,18 @@ def test_verify_all_is_the_same_under_optimize_flag():
     optimized = subprocess.run([sys.executable, "-O", *command], capture_output=True, timeout=120)
     assert (plain.returncode, optimized.returncode) == (0, 0), optimized.stderr.decode()
     assert optimized.stdout == plain.stdout
+
+
+def test_budgets_and_limits_are_documented():
+    # A module constant that bounds work or selects a path belongs in the README.
+    names = [
+        target.id
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith(("_BUDGET", "_LIMIT"))
+    ]
+    assert "STEP_LIMIT" in names
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in names if name not in readme] == []
