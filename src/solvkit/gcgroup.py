@@ -36,6 +36,7 @@ DEFAULT_INDEX_WINDOW_CAP = 20
 RESIDUE_BITS_BUDGET = 2**20
 STEP_LIMIT = 32
 MEMBERSHIP_WINDOW_BUDGET = 50
+BAND_ROWS_BUDGET = 1000
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,12 @@ class GcElement:
 def band_matrix(c: GcSignature, m: int) -> Matrix:
     """The m x (m+s) banded matrix whose row k holds the coefficients of
     the relation ``sum_i c_i b_{k+i}``: entry (i, j) is ``c_{j-i}`` when
-    ``0 <= j-i <= s`` and zero otherwise."""
+    ``0 <= j-i <= s`` and zero otherwise.  It has ``m (m + s)`` entries,
+    so ``m`` above ``BAND_ROWS_BUDGET`` is refused with ``ValueError``."""
     if m < 1:
         raise ValueError("band matrix needs at least one row")
+    if m > BAND_ROWS_BUDGET:
+        raise ValueError(f"band matrix with {m} rows is over the budget of {BAND_ROWS_BUDGET}")
     s = c.s
     return Matrix(
         [
@@ -155,45 +159,38 @@ def _mul(c: GcSignature, a, b):
     return _reduce(c, prod, dp * dq)
 
 
-def _x_power(c: GcSignature, k: int):
-    """``x^k mod c``: stepped from ``1`` when ``|k| <= STEP_LIMIT``, else by
-    square-and-multiply from ``x`` or, for negative k, from
-    ``x^-1 = -(c_1 + c_2 x + ... + c_s x^{s-1}) / c_0``.
+def _times_x_power(c: GcSignature, r, k: int):
+    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps, the top-term cancellation
+    of :func:`_reduce` multiplies by ``x`` once per step.  For negative ``k``
+    it runs against reversed ``c`` on reversed numerators: ``p x^-1 = q mod c``
+    exactly when ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of
+    ``c``.  Beyond the limit, ``r`` is multiplied by square-and-multiply from
+    the one-step base ``x^(+-1)``; a zero residue is returned as it is.
 
     Unless every root of ``c`` is a root of unity, ``x^k`` has about
     ``|k|`` bits, so a huge ``k`` would never finish: ``ValueError`` is
     raised instead of squaring a base whose square would pass
     ``RESIDUE_BITS_BUDGET`` bits (twice the bits of its numerators and
     denominator)."""
-    if abs(k) <= STEP_LIMIT:
-        return _times_x_power(c, _reduce(c, [1], 1), k)
-    nums, den = ([-x for x in c.coeffs[1:]], c.coeffs[0]) if k < 0 else ([0, 1], 1)
-    base, result, n = _reduce(c, nums, den), _reduce(c, [1], 1), abs(k)
+    nums, den = r
+    if not any(nums):
+        return r
+    if 0 <= k <= STEP_LIMIT:
+        return _reduce(c, [0] * k + list(nums), den)
+    if -STEP_LIMIT <= k < 0:
+        nums, den = _reduce(GcSignature(c.coeffs[::-1]), [0] * -k + list(nums[::-1]), den)
+        return nums[::-1], den
+    base, n = _times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1), abs(k)
     while n:
         if n & 1:
-            result = _mul(c, result, base)
+            r = _mul(c, r, base)
         n >>= 1
         if n:
             bits = base[1].bit_length() + sum(map(int.bit_length, base[0]))
             if 2 * bits > RESIDUE_BITS_BUDGET:
                 raise ValueError(f"x^{k} mod c needs more than {RESIDUE_BITS_BUDGET} bits")
             base = _mul(c, base, base)
-    return result
-
-
-def _times_x_power(c: GcSignature, r, k: int):
-    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps, the top-term cancellation
-    of :func:`_reduce` multiplies by ``x`` once per step, which is cheaper
-    than forming ``x^k``.  For negative ``k`` it runs against reversed ``c``
-    on reversed numerators: ``p x^-1 = q mod c`` exactly when
-    ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of ``c``."""
-    nums, den = r
-    if 0 <= k <= STEP_LIMIT:
-        return _reduce(c, [0] * k + list(nums), den)
-    if -STEP_LIMIT <= k < 0:
-        nums, den = _reduce(GcSignature(c.coeffs[::-1]), [0] * -k + list(nums[::-1]), den)
-        return nums[::-1], den
-    return _mul(c, r, _x_power(c, k))
+    return r
 
 
 def _shift_add(c: GcSignature, r, k: int, v):
@@ -213,7 +210,7 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 
 def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
     """``e_1 * A^i = x^i mod c``, the model image of the conjugate ``b_i``."""
-    return _scalars(*_x_power(c, i))
+    return _scalars(*_times_x_power(c, _reduce(c, [1], 1), i))
 
 
 def gc_identity(c: GcSignature) -> GcElement:
@@ -464,9 +461,10 @@ def base_membership(
     if j_max > MEMBERSHIP_WINDOW_BUDGET:
         raise ValueError(f"j_max {j_max} is over the budget of {MEMBERSHIP_WINDOW_BUDGET}")
     target_nums, target_den = _residue(target)
+    one = _reduce(c, [1], 1)
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))
-        residues = [_x_power(c, i) for i in powers]
+        residues = [_times_x_power(c, one, i) for i in powers]
         den = math.lcm(target_den, *(d for _, d in residues))
         columns = Matrix(
             [[nums[row] * (den // d) for nums, d in residues] for row in range(c.s)]

@@ -39,11 +39,6 @@ def exact_scalar(value) -> Scalar:
     raise TypeError(f"exact scalars must be int or Fraction, got {type(value).__name__}")
 
 
-def scalar_to_str(value: Scalar) -> str:
-    """Render a scalar as a decimal string, ``p/q`` for non-integers."""
-    return str(value)
-
-
 def scalar_from_str(text) -> Scalar:
     """Parse ``"5"``, ``"-3"`` or ``"p/q"`` back into an exact scalar."""
     if isinstance(text, int) and not isinstance(text, bool):
@@ -167,12 +162,16 @@ class Matrix:
         )
 
     def det(self) -> Scalar:
-        """Exact determinant (Bareiss for integer matrices)."""
+        """Exact determinant: Bareiss elimination on the rows scaled to
+        integers, divided by the product of the row scales."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        if self.is_integer:
-            return _det_bareiss(self._data)
-        return exact_scalar(_det_fraction(self._data))
+        rows, scale = [], 1
+        for row in self._data:
+            d = math.lcm(*(x.denominator for x in row))
+            rows.append([int(x * d) for x in row])
+            scale *= d
+        return exact_scalar(Fraction(_det_bareiss(rows), scale))
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan elimination over the rationals."""
@@ -223,25 +222,6 @@ def _det_bareiss(data) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def _det_fraction(data) -> Fraction:
-    n = len(data)
-    a = [[Fraction(x) for x in row] for row in data]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] / a[k][k]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def matrix_times_column(matrix: Matrix, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -446,7 +426,7 @@ def matrix_to_json(matrix: Matrix) -> dict:
     return {
         "rows": matrix.rows,
         "cols": matrix.cols,
-        "entries": [[scalar_to_str(x) for x in row] for row in matrix.rows_as_tuples()],
+        "entries": [[str(x) for x in row] for row in matrix.rows_as_tuples()],
     }
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+from finite_groups import finite_subgroup_orders
 from solvkit.gcgroup import (
     GcSignature,
     band_matrix,
@@ -26,7 +27,6 @@ from solvkit.linalg import Matrix, minor_gcds, snf
 from solvkit.verify import (
     conjugate_commutator_word,
     defining_relator_word,
-    finite_subgroup_orders,
     minkowski_bound,
     random_signature,
     random_word,

@@ -6,9 +6,9 @@ import pytest
 
 import solvkit.verify
 from solvkit.cli import main
-from solvkit.gcgroup import GcSignature, element_to_json, gc_eval
+from solvkit.gcgroup import BAND_ROWS_BUDGET, GcSignature, element_to_json, gc_eval
 from solvkit.linalg import Matrix, matrix_to_json, minor_gcds, snf
-from solvkit.verify import LemmaReport
+from solvkit.verify import MINKOWSKI_N_BUDGET, LemmaReport, minkowski_bound
 
 HUGE = "99999999999999999999"
 
@@ -161,6 +161,24 @@ class TestMinkowski:
         code, _, err = run_cli(capsys, "minkowski", "--n", "0")
         assert code == 1 and err
 
+    def test_budget_is_the_largest_printable_n(self, capsys):
+        code, out, _ = run_cli(capsys, "minkowski", "--n", str(MINKOWSKI_N_BUDGET))
+        assert code == 0 and int(out) == minkowski_bound(MINKOWSKI_N_BUDGET)
+        code, out, err = run_cli(capsys, "minkowski", "--n", str(MINKOWSKI_N_BUDGET + 1))
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
+
+    def test_over_budget_is_refused_promptly(self):
+        # Trial division up to n + 1 would take minutes, for a bound too
+        # long to print.
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "minkowski", "--n", "1000000"],
+            capture_output=True,
+            timeout=5,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
+
 
 class TestErrorPaths:
     def test_invalid_signature(self, capsys):
@@ -210,6 +228,23 @@ class TestErrorPaths:
         assert (result.returncode, result.stdout) == (1, b"")
         assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("is-identity", {"is_identity": True}), ("eval", {"translation": ["0"], "shift": "0"})],
+    )
+    def test_huge_shift_of_cancelling_cluster_answers(self, command, expected):
+        # R = b^2 a^-1 b^-1 a is trivial for c = 2 - x, so the top cluster's
+        # residue is zero and x^N is never formed.
+        relator = "b^2 a^-1 b^-1 a"
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", command, "--c", "2,-1", "--json",
+             f"{relator} a^{HUGE} {relator} a^-{HUGE}"],
+            capture_output=True,
+            timeout=5,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout) == expected
+
     def test_huge_conjugate_with_cyclotomic_signature_answers(self):
         # For c = 1 + x the residue x^N = -1 stays small.
         command = [sys.executable, "-m", "solvkit", "gc", "eval", "--c", "1,1", "--json",
@@ -228,6 +263,13 @@ class TestErrorPaths:
         )
         assert (result.returncode, result.stdout) == (1, b"")
         assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
+
+    def test_band_over_budget_is_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "band", "--c", "2,3", "--m", str(BAND_ROWS_BUDGET + 1), "--json"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("solvkit: ") and err.count("\n") == 1
 
     def test_minors_over_budget_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -7,8 +7,11 @@ derandomized, so the suite runs the same calls every time.
 
 import contextlib
 import io
+import json
 import math
 import signal
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -102,3 +105,71 @@ def test_gc_member(c_and_vector, jmax, json_flag):
     c, vector = c_and_vector
     assert_clean(["gc", "member", f"--c={c}", f"--v={vector}", f"--jmax={jmax}"]
                  + ["--json"] * json_flag)
+
+
+# Integer arguments are drawn both small and up to 10^30 in size.
+integers = st.one_of(st.integers(-3, 60), st.integers(-(10**30), 10**30))
+
+
+@FUZZ
+@given(signatures, integers, integers, st.booleans())
+def test_gc_index(c, t, cap, json_flag):
+    assert_clean(["gc", "index", f"--c={c}", f"--t={t}", f"--cap={cap}"]
+                 + ["--json"] * json_flag)
+
+
+@FUZZ
+@given(signatures, integers, integers, st.booleans())
+def test_gc_interval(c, low, high, json_flag):
+    assert_clean(["gc", "interval", f"--c={c}", f"--from={low}", f"--to={high}"]
+                 + ["--json"] * json_flag)
+
+
+@FUZZ
+@given(st.sampled_from(["is-proper", "abelianization"]),
+       st.one_of(signatures, st.text(max_size=12)), st.booleans())
+def test_gc_signature_only(command, c, json_flag):
+    assert_clean(["gc", command, f"--c={c}"] + ["--json"] * json_flag)
+
+
+@FUZZ
+@given(st.one_of(signatures, st.text(max_size=12)), integers, st.booleans())
+def test_band(c, m, json_flag):
+    assert_clean(["band", f"--c={c}", f"--m={m}"] + ["--json"] * json_flag)
+
+
+@FUZZ
+@given(integers, st.booleans())
+def test_minkowski(n, json_flag):
+    assert_clean(["minkowski", f"--n={n}"] + ["--json"] * json_flag)
+
+
+numbers = integers.map(str)
+
+
+def _matrix_text(entries):
+    def grid(shape):
+        rows, cols = shape
+        lists = st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)
+        return lists.map(lambda e: json.dumps({"rows": rows, "cols": cols, "entries": e}))
+
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(grid)
+
+
+# Integer matrices, matrices with bad entries (zero denominators, fractions,
+# text) among the numbers, and arbitrary text.
+matrix_texts = st.one_of(
+    _matrix_text(numbers),
+    _matrix_text(st.one_of(numbers, scalars, st.text(max_size=4))),
+    st.text(max_size=30),
+)
+
+
+@FUZZ
+@given(st.sampled_from(["snf", "minors"]), matrix_texts, st.booleans())
+def test_matrix_files(command, text, json_flag):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.json"
+        path.write_text(text, encoding="utf-8")
+        assert_clean([command, f"--in={path}"] + ["--json"] * json_flag)

@@ -7,6 +7,7 @@ import pytest
 from window_search import stable_image_cardinality, window_search_index
 
 from solvkit.gcgroup import (
+    BAND_ROWS_BUDGET,
     DEFAULT_INDEX_WINDOW_CAP,
     MEMBERSHIP_WINDOW_BUDGET,
     STEP_LIMIT,
@@ -103,6 +104,12 @@ class TestBandMatrix:
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError):
             band_matrix(GcSignature((2, 3)), 0)
+
+    def test_rows_over_budget_rejected(self):
+        c = GcSignature((2, 3))
+        assert band_matrix(c, BAND_ROWS_BUDGET).rows == BAND_ROWS_BUDGET
+        with pytest.raises(ValueError, match="budget"):
+            band_matrix(c, BAND_ROWS_BUDGET + 1)
 
 
 class TestCompanionAction:

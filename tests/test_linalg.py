@@ -89,6 +89,25 @@ class TestMatrixBasics:
             )
             assert m.det() == naive_det(m)
 
+    def test_det_of_mixed_rows_is_canonical(self):
+        # Rows of ints and of fractions, up to 6 x 6: the value matches the
+        # oracle and is an int exactly when it is integral.
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            m = Matrix(
+                [
+                    [rng.randint(-5, 5) for _ in range(n)]
+                    if rng.random() < 0.3
+                    else [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            value = m.det()
+            assert value == naive_det(m)
+            assert isinstance(value, int) == (Fraction(value).denominator == 1)
+        assert type(Matrix([[Fraction(1, 2), 0], [0, 2]]).det()) is int
+
     def test_inverse_roundtrip_and_singular(self):
         rng = random.Random(5)
         produced = 0

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from finite_groups import finite_subgroup_orders
 
 import solvkit.linalg
 from solvkit.linalg import SNFResult
@@ -18,7 +19,6 @@ from solvkit.verify import (
     check_snf_minor_gcds,
     check_torsion_free,
     check_wreath,
-    finite_subgroup_orders,
     merge_reports,
     minkowski_bound,
     random_signature,
