@@ -19,14 +19,10 @@ from . import gcgroup, linalg, verify, wreath
 from .words import parse_word
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 1 for bad usage, keeping 2 reserved for verification failures
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt_vector(values) -> str:
@@ -274,11 +270,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"solvkit: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"solvkit: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        message = str(exc)
+        if "integer string conversion" in message:
+            message = f"a number is over the limit of {sys.get_int_max_str_digits()} decimal digits"
+        print(f"solvkit: {message}", file=sys.stderr)
         return 1
 
 

@@ -447,11 +447,12 @@ def base_membership(
     """Search for ``vector`` as an integer combination of orbit vectors.
 
     Windows ``j = 0 .. j_max`` take the powers ``-j .. j+s-1``; each window
-    reduces to an integer linear system after clearing denominators.  A
+    reduces to an integer linear system after clearing denominators, and is
+    skipped when the lcm of its denominators is not a multiple of the
+    vector's denominator, as then no integer combination can equal it.  A
     found witness is verified exactly before being returned.  Window ``j``
-    solves an ``s x (2j + s)`` system and a miss solves them all, so
-    ``j_max`` above ``MEMBERSHIP_WINDOW_BUDGET`` is refused with
-    ``ValueError``.
+    solves an ``s x (2j + s)`` system, so ``j_max`` above
+    ``MEMBERSHIP_WINDOW_BUDGET`` is refused with ``ValueError``.
     """
     target = tuple(exact_scalar(x) for x in vector)
     if len(target) != c.s:
@@ -465,7 +466,9 @@ def base_membership(
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))
         residues = [_times_x_power(c, one, i) for i in powers]
-        den = math.lcm(target_den, *(d for _, d in residues))
+        den = math.lcm(*(d for _, d in residues))
+        if den % target_den:
+            continue
         columns = Matrix(
             [[nums[row] * (den // d) for nums, d in residues] for row in range(c.s)]
         )

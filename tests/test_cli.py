@@ -290,6 +290,18 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith("solvkit: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "word",
+        ["a^-20000 b a^20000", "a^" + "1" * 5000],
+        ids=["answer", "exponent"],
+    )
+    def test_digit_limit_is_one_line_naming_it(self, capsys, word):
+        # An answer of 6,021 digits, or an exponent of 5,000 digits, passes
+        # Python's 4,300-digit limit for converting between int and text.
+        code, out, err = run_cli(capsys, "gc", "eval", "--c", "2,-1", "--json", word)
+        assert (code, out) == (1, "")
+        assert err == "solvkit: a number is over the limit of 4300 decimal digits\n"
+
     def test_negative_index_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "gc", "index", "--c", "2,-1", "--t", "3", "--cap", "-1", "--json"

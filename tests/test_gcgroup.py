@@ -30,7 +30,8 @@ from solvkit.gcgroup import (
     power_subgroup_index,
     relator_check,
 )
-from solvkit.linalg import DimensionError, Matrix, mat_pow, snf
+from solvkit.gcgroup import _reduce, _residue, _times_x_power
+from solvkit.linalg import DimensionError, Matrix, mat_pow, snf, solve_integer_system
 from solvkit.verify import (
     conjugate_commutator_word,
     defining_relator_word,
@@ -428,7 +429,47 @@ class TestIntervalSubgroup:
             assert report.torsion_factors == tuple(f for f in factors if f > 1)
 
 
+def solve_every_window(c, vector, j_max):
+    """Membership witness from solving every window system, skipping none:
+    the oracle for ``base_membership``'s skip of windows by denominator."""
+    target_nums, target_den = _residue(vector)
+    one = _reduce(c, [1], 1)
+    for j in range(j_max + 1):
+        powers = list(range(-j, j + c.s))
+        residues = [_times_x_power(c, one, i) for i in powers]
+        den = math.lcm(target_den, *(d for _, d in residues))
+        columns = Matrix(
+            [[nums[row] * (den // d) for nums, d in residues] for row in range(c.s)]
+        )
+        solution = solve_integer_system(columns, [x * (den // target_den) for x in target_nums])
+        if solution is not None:
+            return tuple((power, coeff) for power, coeff in zip(powers, solution) if coeff)
+    return None
+
+
 class TestBaseMembership:
+    def test_window_skip_matches_solving_every_window(self):
+        rng = random.Random(2024)
+        members = 0
+        for _ in range(300):
+            c = random_signature(rng, s_max=4, coeff_bound=7)
+            dens = (1, 2, 3, 4, 6, 7, 9, 11)
+            vector = [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(c.s)]
+            j_max = rng.randint(0, 5)
+            expected = solve_every_window(c, vector, j_max)
+            assert base_membership(c, vector, j_max).witness == expected, (c, vector, j_max)
+            members += expected is not None
+        assert members >= 30
+
+    def test_miss_on_foreign_denominator_is_cheap(self):
+        # Window denominators are made of the primes of c_0 c_s = 21, so no
+        # window can hold a vector with denominator 11: no system is solved.
+        c = GcSignature((3, -7, 5, 1, -6, 2, 7))
+        start = time.process_time()
+        result = base_membership(c, [Fraction(1, 11)] * c.s, MEMBERSHIP_WINDOW_BUDGET)
+        assert not result.is_member
+        assert time.process_time() - start < 1
+
     def test_zero_vector_is_member(self):
         result = base_membership(GcSignature((2, -1)), [0], 0)
         assert result.is_member

@@ -41,3 +41,26 @@ def test_budgets_and_limits_are_documented():
     assert "STEP_LIMIT" in names
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in names if name not in readme] == []
+
+
+def test_each_check_runs_once_and_takes_only_rng():
+    # run_all is the harness: a check it never calls, or a check with a knob
+    # only the tests set, is a second way to run a lemma.
+    tree = ast.parse((ROOT / "src" / "solvkit" / "verify.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+    checks = {
+        node.name: ast.unparse(node.args)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+    run_all = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run_all")
+    called = [
+        node.func.id
+        for node in ast.walk(run_all)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert checks
+    assert {name: called.count(name) for name in checks} == dict.fromkeys(checks, 1)
+    assert {name: args for name, args in checks.items() if args not in ("", "rng")} == {}
