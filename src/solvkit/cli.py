@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import gcgroup, linalg, verify, wreath
@@ -20,24 +21,30 @@ from .words import parse_word
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Values such as -2,3 and -1/2 are values: no option starts with -digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # exit code 1 for bad usage, keeping 2 reserved for verification failures
     def error(self, message):
         raise ValueError(message)
 
 
-def _fmt_vector(values) -> str:
-    return "(" + ", ".join(str(x) for x in values) + ")"
+# Each handler maps ``args`` to ``(payload, text)``: the ``--json`` object and
+# the human-readable form, the latter built from the payload's decimal strings.
 
 
-def _fmt_matrix(matrix: linalg.Matrix) -> str:
-    return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in matrix.rows_as_tuples())
+def _fmt_rows(entries) -> str:
+    return "\n".join("[" + ", ".join(row) + "]" for row in entries)
 
 
-def _emit(args, payload, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+def _flag(key: str, value: bool):
+    return {key: value}, "true" if value else "false"
+
+
+def _torsion(factors) -> str:
+    return f"torsion [{', '.join(factors)}]" if factors else "no torsion"
 
 
 def _signature(args) -> gcgroup.GcSignature:
@@ -49,158 +56,116 @@ def _load_matrix(path: str) -> linalg.Matrix:
         return linalg.matrix_from_json(json.load(handle))
 
 
-def _cmd_gc_eval(args) -> int:
-    c = _signature(args)
-    element = gcgroup.gc_eval(c, parse_word(args.word))
-    _emit(
-        args,
-        gcgroup.element_to_json(element),
-        f"translation {_fmt_vector(element.translation)}, shift {element.shift}",
-    )
-    return 0
+def _cmd_gc_eval(args):
+    payload = gcgroup.element_to_json(gcgroup.gc_eval(_signature(args), parse_word(args.word)))
+    return payload, f"translation ({', '.join(payload['translation'])}), shift {payload['shift']}"
 
 
-def _cmd_gc_is_identity(args) -> int:
-    c = _signature(args)
-    value = gcgroup.gc_is_identity(c, parse_word(args.word))
-    _emit(args, {"is_identity": value}, "true" if value else "false")
-    return 0
+def _cmd_gc_is_identity(args):
+    return _flag("is_identity", gcgroup.gc_is_identity(_signature(args), parse_word(args.word)))
 
 
-def _cmd_gc_is_proper(args) -> int:
-    value = gcgroup.gc_is_proper(_signature(args))
-    _emit(args, {"is_proper": value}, "true" if value else "false")
-    return 0
+def _cmd_gc_is_proper(args):
+    return _flag("is_proper", gcgroup.gc_is_proper(_signature(args)))
 
 
-def _cmd_gc_abelianization(args) -> int:
+def _cmd_gc_abelianization(args):
     free_rank, torsion = gcgroup.gc_abelianization(_signature(args))
-    payload = {"free_rank": str(free_rank), "torsion_factors": [str(f) for f in torsion]}
-    human = f"free rank {free_rank}, " + (
-        f"torsion {list(torsion)}" if torsion else "no torsion"
-    )
-    _emit(args, payload, human)
-    return 0
+    factors = [str(f) for f in torsion]
+    payload = {"free_rank": str(free_rank), "torsion_factors": factors}
+    return payload, f"free rank {free_rank}, {_torsion(factors)}"
 
 
-def _cmd_gc_interval(args) -> int:
+def _cmd_gc_interval(args):
     report = gcgroup.interval_subgroup(_signature(args), args.low, args.high)
+    factors = [str(f) for f in report.torsion_factors]
     payload = {
         "generators": str(report.generators),
         "relators": str(report.relators),
         "free_rank": str(report.free_rank),
-        "torsion_factors": [str(f) for f in report.torsion_factors],
+        "torsion_factors": factors,
     }
-    human = (
+    return payload, (
         f"generators {report.generators}, relators {report.relators}, "
-        f"free rank {report.free_rank}, "
-        + (f"torsion {list(report.torsion_factors)}" if report.torsion_factors else "no torsion")
+        f"free rank {report.free_rank}, {_torsion(factors)}"
     )
-    _emit(args, payload, human)
-    return 0
 
 
-def _cmd_gc_index(args) -> int:
-    index = gcgroup.power_subgroup_index(_signature(args), args.t, args.cap).index
-    _emit(args, {"status": "index", "index": str(index)}, f"index {index}")
-    return 0
+def _cmd_gc_index(args):
+    index = str(gcgroup.power_subgroup_index(_signature(args), args.t, args.cap).index)
+    return {"status": "index", "index": index}, f"index {index}"
 
 
-def _cmd_gc_member(args) -> int:
+def _cmd_gc_member(args):
     vector = [linalg.scalar_from_str(part) for part in args.v.split(",")]
     result = gcgroup.base_membership(_signature(args), vector, args.jmax)
-    if result.is_member:
-        witness = {str(power): str(coeff) for power, coeff in result.witness}
-        human_pairs = ", ".join(f"{p}: {n}" for p, n in result.witness) or "empty combination"
-        _emit(
-            args,
-            {"status": "member", "witness": witness},
-            f"member, witness {{{human_pairs}}}",
-        )
-    else:
-        _emit(
-            args,
+    if not result.is_member:
+        return (
             {"status": "not_found_within_bound", "j_max": str(args.jmax)},
             f"not found within bound j_max={args.jmax}",
         )
-    return 0
+    witness = {str(power): str(coeff) for power, coeff in result.witness}
+    pairs = ", ".join(f"{p}: {n}" for p, n in witness.items()) or "empty combination"
+    return {"status": "member", "witness": witness}, f"member, witness {{{pairs}}}"
 
 
-def _cmd_snf(args) -> int:
+def _cmd_snf(args):
     result = linalg.snf(_load_matrix(args.infile))
+    factors = [str(f) for f in result.invariant_factors]
     payload = {
         "smith": linalg.matrix_to_json(result.smith),
         "left": linalg.matrix_to_json(result.left),
         "right": linalg.matrix_to_json(result.right),
-        "invariant_factors": [str(f) for f in result.invariant_factors],
+        "invariant_factors": factors,
     }
-    human = (
-        _fmt_matrix(result.smith)
-        + "\ninvariant factors: "
-        + (", ".join(str(f) for f in result.invariant_factors) or "none")
-    )
-    _emit(args, payload, human)
-    return 0
+    text = _fmt_rows(payload["smith"]["entries"]) + "\ninvariant factors: "
+    return payload, text + (", ".join(factors) or "none")
 
 
-def _cmd_minors(args) -> int:
-    gcds = linalg.minor_gcds(_load_matrix(args.infile))
-    _emit(
-        args,
-        {"minor_gcds": [str(g) for g in gcds]},
-        "minor gcds: " + ", ".join(str(g) for g in gcds),
-    )
-    return 0
+def _cmd_minors(args):
+    gcds = [str(g) for g in linalg.minor_gcds(_load_matrix(args.infile))]
+    return {"minor_gcds": gcds}, "minor gcds: " + ", ".join(gcds)
 
 
-def _cmd_band(args) -> int:
-    matrix = gcgroup.band_matrix(_signature(args), args.m)
-    _emit(args, linalg.matrix_to_json(matrix), _fmt_matrix(matrix))
-    return 0
+def _cmd_band(args):
+    payload = linalg.matrix_to_json(gcgroup.band_matrix(_signature(args), args.m))
+    return payload, _fmt_rows(payload["entries"])
 
 
-def _cmd_wreath_eval(args) -> int:
+def _cmd_wreath_eval(args):
+    payload = wreath.element_to_json(wreath.wr_eval(parse_word(args.word), args.mod))
+    support = ", ".join(f"{p}: {v}" for p, v in payload["support"].items())
+    text = f"support {{{support}}}, shift {payload['shift']}"
+    if payload["modulus"] is not None:
+        text += f", modulus {payload['modulus']}"
+    return payload, text
+
+
+def _cmd_wreath_is_identity(args):
     element = wreath.wr_eval(parse_word(args.word), args.mod)
-    support_h = ", ".join(f"{p}: {v}" for p, v in element.support)
-    human = f"support {{{support_h}}}, shift {element.shift}"
-    if element.modulus is not None:
-        human += f", modulus {element.modulus}"
-    _emit(args, wreath.element_to_json(element), human)
-    return 0
+    return _flag("is_identity", wreath.wr_is_identity(element))
 
 
-def _cmd_wreath_is_identity(args) -> int:
-    element = wreath.wr_eval(parse_word(args.word), args.mod)
-    value = wreath.wr_is_identity(element)
-    _emit(args, {"is_identity": value}, "true" if value else "false")
-    return 0
-
-
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("SOLVKIT_SEED", "0"))
     reports = verify.run_all(seed)
-    if args.json:
-        print(json.dumps(verify.reports_to_json(reports)))
-    else:
-        width = max(len(r.lemma_id) for r in reports)
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            line = f"{r.lemma_id:<{width}}  {r.cases_passed}/{r.cases_run}  {status}"
-            if r.first_failure:
-                line += f"  first failure: {r.first_failure}"
-            print(line)
-        total_run = sum(r.cases_run for r in reports)
-        total_passed = sum(r.cases_passed for r in reports)
-        print(f"{'total':<{width}}  {total_passed}/{total_run}")
-    return 0 if all(r.passed for r in reports) else 2
+    width = max(len(r.lemma_id) for r in reports)
+    lines = [
+        f"{r.lemma_id:<{width}}  {r.cases_passed}/{r.cases_run}  {'pass' if r.passed else 'FAIL'}"
+        + (f"  first failure: {r.first_failure}" if r.first_failure else "")
+        for r in reports
+    ]
+    total_run = sum(r.cases_run for r in reports)
+    total_passed = sum(r.cases_passed for r in reports)
+    lines.append(f"{'total':<{width}}  {total_passed}/{total_run}")
+    return verify.reports_to_json(reports), "\n".join(lines)
 
 
-def _cmd_minkowski(args) -> int:
-    bound = verify.minkowski_bound(args.n)
-    _emit(args, {"n": str(args.n), "bound": str(bound)}, str(bound))
-    return 0
+def _cmd_minkowski(args):
+    bound = str(verify.minkowski_bound(args.n))
+    return {"n": str(args.n), "bound": bound}, bound
 
 
 def _build_parser() -> _Parser:
@@ -247,12 +212,10 @@ def _build_parser() -> _Parser:
 
     wr = sub.add_parser("wreath", help="wreath product operations")
     wr_sub = wr.add_subparsers(dest="wreath_command", required=True)
-    p = add(wr_sub, "eval", _cmd_wreath_eval)
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("word")
-    p = add(wr_sub, "is-identity", _cmd_wreath_is_identity)
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("word")
+    for name, handler in (("eval", _cmd_wreath_eval), ("is-identity", _cmd_wreath_is_identity)):
+        p = add(wr_sub, name, handler)
+        p.add_argument("--mod", type=int, default=None)
+        p.add_argument("word")
 
     vf = sub.add_parser("verify", help="re-run the verification harness")
     vf_sub = vf.add_subparsers(dest="verify_command", required=True)
@@ -269,13 +232,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        payload, text = args.handler(args)
+        print(json.dumps(payload) if args.json else text)
     except (ValueError, OSError) as exc:
         message = str(exc)
         if "integer string conversion" in message:
             message = f"a number is over the limit of {sys.get_int_max_str_digits()} decimal digits"
         print(f"solvkit: {message}", file=sys.stderr)
         return 1
+    failing = args.command == "verify" and any(r["cases_passed"] != r["cases_run"] for r in payload)
+    return 2 if failing else 0
 
 
 if __name__ == "__main__":

@@ -254,15 +254,24 @@ def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
 
 
 def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
-    """``(sum_p lamps[p] x^(p - low) mod c, low)`` with ``low`` the lowest
-    lit position, by Horner's rule from the highest lit position down, so
-    each gap between lamps costs one ``x^gap`` and ``x^low`` is never formed."""
-    lit = sorted((pos for pos, val in lamps.items() if val), reverse=True)
-    residue, prev = _reduce(c, [0], 1), lit[0] if lit else 0
-    for pos in lit:
-        residue = _shift_add(c, residue, prev - pos, _reduce(c, [lamps[pos]], 1))
-        prev = pos
-    return residue, prev
+    """``(sum_p lamps[p] x^(p - low) mod c, low)``.  Lit lamps at most
+    ``STEP_LIMIT`` apart form a cluster, folded by Horner's rule from its
+    highest lamp down; the clusters whose residue is nonzero are then folded
+    the same way across the longer gaps, so ``low`` is the lowest lamp of the
+    lowest such cluster (0 if there is none), ``x^low`` is never formed, and a
+    cluster that cancels costs no ``x^gap`` at all."""
+    clusters = []  # [residue, lowest lamp], from the highest cluster down
+    for pos in sorted((pos for pos, val in lamps.items() if val), reverse=True):
+        lamp = _reduce(c, [lamps[pos]], 1)
+        if clusters and clusters[-1][1] - pos <= STEP_LIMIT:
+            clusters[-1] = [_shift_add(c, clusters[-1][0], clusters[-1][1] - pos, lamp), pos]
+        else:
+            clusters.append([lamp, pos])
+    residue, low = _reduce(c, [0], 1), 0
+    for r, pos in clusters:
+        if any(r[0]):
+            residue, low = _shift_add(c, residue, low - pos, r), pos
+    return residue, low
 
 
 def _lamp_value(c: GcSignature, lamps: dict[int, int]) -> tuple[Scalar, ...]:
@@ -288,7 +297,7 @@ def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
 
     Decidable because the model representation is faithful, so a word is
     trivial exactly when its shift and its lamp residue both vanish.  The
-    residue is measured from the lowest lit lamp: ``x`` is a unit modulo
+    residue is measured from a lit lamp, not from 0: ``x`` is a unit modulo
     ``c`` (as ``c_0 != 0``), so that shift changes nothing but the cost.
     """
     if isinstance(word, str):

@@ -87,6 +87,22 @@ class TestGcCommands:
         )
         assert json.loads(out) == {"status": "not_found_within_bound", "j_max": "4"}
 
+    def test_negative_values_need_no_equals_sign(self, capsys):
+        # -2,3 and -1/2 are values: no solvkit option starts with a dash and a digit.
+        spaced = run_cli(capsys, "gc", "eval", "--c", "-2,3", "a^-1 b a b")
+        assert spaced[0] == 0
+        assert spaced == run_cli(capsys, "gc", "eval", "--c=-2,3", "a^-1 b a b")
+        code, out, err = run_cli(capsys, "gc", "member", "--c", "2,-1", "--v", "-1/2", "--json")
+        assert (code, out, err) == (0, '{"status": "member", "witness": {"-1": "-1"}}\n', "")
+        assert run_cli(capsys, "gc", "member", "--c", "2,-1", "--v", "-.5", "--json") == (
+            code, out, err
+        )
+
+    def test_dash_value_that_is_no_number_is_still_an_option(self, capsys):
+        code, out, err = run_cli(capsys, "gc", "eval", "--c", "-x", "b")
+        assert (code, out) == (1, "")
+        assert err == "solvkit: argument --c: expected one argument\n"
+
 
 class TestMatrixCommands:
     def test_band(self, capsys):
@@ -125,6 +141,33 @@ class TestMatrixCommands:
         code, _, err = run_cli(capsys, "snf", "--in", str(tmp_path / "nope.json"))
         assert code == 1
         assert err
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["gc", "interval", "--c", "2,3", "--from", "0", "--to", "2"],
+             "generators 3, relators 2, free rank 1, no torsion"),
+            (["gc", "index", "--c", "2,-1", "--t", "3"], "index 3"),
+            (["gc", "member", "--c", "2,-1", "--v", "1/2"], "member, witness {-1: 1}"),
+            (["gc", "member", "--c", "2,-1", "--v", "0"], "member, witness {empty combination}"),
+            (["gc", "member", "--c", "2,-1", "--v", "1/3", "--jmax", "4"],
+             "not found within bound j_max=4"),
+            (["gc", "abelianization", "--c", "1,1"], "free rank 1, torsion [2]"),
+            (["snf", "--in"], "[1, 0, 0]\n[0, 1, 0]\ninvariant factors: 1, 1"),
+            (["minors", "--in"], "minor gcds: 1, 1"),
+            (["wreath", "eval", "--mod", "3", "b^4 a b"], "support {0: 1, 1: 1}, shift 1, modulus 3"),
+        ],
+        ids=["interval", "index", "member", "member-zero", "member-miss", "abelianization",
+             "snf", "minors", "wreath-mod"],
+    )
+    def test_text(self, capsys, tmp_path, argv, expected):
+        if argv[-1] == "--in":
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(matrix_to_json(Matrix([[2, 3, 0], [0, 2, 3]]))))
+            argv = [*argv, str(path)]
+        assert run_cli(capsys, *argv) == (0, expected + "\n", "")
 
 
 class TestWreathCommands:
@@ -239,6 +282,22 @@ class TestErrorPaths:
         result = subprocess.run(
             [sys.executable, "-m", "solvkit", "gc", command, "--c", "2,-1", "--json",
              f"{relator} a^{HUGE} {relator} a^-{HUGE}"],
+            capture_output=True,
+            timeout=5,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert json.loads(result.stdout) == expected
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("is-identity", {"is_identity": False}), ("eval", {"translation": ["1"], "shift": "0"})],
+    )
+    def test_cancelling_cluster_far_below_a_lamp_drops_out(self, command, expected):
+        # The lamps of R sit N below the lamp at 0 and cancel, so the lamp at 0
+        # is never shifted across the gap.
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", command, "--c", "2,-1", "--json",
+             f"a^{HUGE} b^2 a^-1 b^-1 a a^-{HUGE} b"],
             capture_output=True,
             timeout=5,
         )

@@ -64,3 +64,21 @@ def test_each_check_runs_once_and_takes_only_rng():
     assert checks
     assert {name: called.count(name) for name in checks} == dict.fromkeys(checks, 1)
     assert {name: args for name, args in checks.items() if args not in ("", "rng")} == {}
+
+
+def test_cli_prints_only_in_main():
+    # Handlers return (payload, text); main is the one place that writes them.
+    tree = ast.parse((ROOT / "src" / "solvkit" / "cli.py").read_text(encoding="utf-8"))
+
+    def prints(node):
+        return [
+            call.lineno
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "print"
+        ]
+
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert prints(main)
+    assert prints(tree) == prints(main)
