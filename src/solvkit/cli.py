@@ -112,12 +112,12 @@ def _cmd_gc_member(args):
 def _cmd_snf(args):
     result = linalg.snf(_load_matrix(args.infile))
     factors = [str(f) for f in result.invariant_factors]
-    payload = {
-        "smith": linalg.matrix_to_json(result.smith),
-        "left": linalg.matrix_to_json(result.left),
-        "right": linalg.matrix_to_json(result.right),
-        "invariant_factors": factors,
-    }
+    payload = {"smith": linalg.matrix_to_json(result.smith)}
+    if args.json:
+        # Text mode prints no transforms, so it does not pay to format them.
+        payload["left"] = linalg.matrix_to_json(result.left)
+        payload["right"] = linalg.matrix_to_json(result.right)
+    payload["invariant_factors"] = factors
     text = _fmt_rows(payload["smith"]["entries"]) + "\ninvariant factors: "
     return payload, text + (", ".join(factors) or "none")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -140,10 +141,19 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = list(zip(*other._data))
-            return Matrix(
-                [[_dot(row, col) for col in cols] for row in self._data]
-            )
+            # Each output row is a sum of rows of ``other``, skipping zeros on
+            # both sides: a banded or zero-padded factor costs only its
+            # nonzero entries.
+            terms = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
+            out = []
+            for row in self._data:
+                acc = [0] * other.cols
+                for a, nonzeros in zip(row, terms):
+                    if a:
+                        for j, b in nonzeros:
+                            acc[j] += a * b
+                out.append(acc)
+            return Matrix(out)
         if isinstance(other, (int, Fraction)):
             return Matrix([[x * other for x in row] for row in self._data])
         return NotImplemented
@@ -196,10 +206,6 @@ class Matrix:
         return Matrix([row[n:] for row in work])
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _det_bareiss(data) -> int:
     # Fraction-free elimination: every division below is exact.
     n = len(data)
@@ -227,7 +233,7 @@ def _det_bareiss(data) -> int:
 def matrix_times_column(matrix: Matrix, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
     if len(vector) != matrix.cols:
         raise DimensionError("vector length must equal matrix column count")
-    return tuple(_dot(row, vector) for row in matrix.rows_as_tuples())
+    return tuple(sum(map(operator.mul, row, vector)) for row in matrix.rows_as_tuples())
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,13 @@ def snf(matrix: Matrix) -> SNFResult:
     Row steps touch only the top ``rows`` rows and column steps only the
     left ``cols`` columns, so the array ends as ``[[S, L], [R, 0]]`` with
     ``L M R = S``, and the transforms are read off it.
+
+    Every call checks the certificate ``L (M R) == S`` exactly and raises
+    ``ArithmeticError`` when it fails.  It is evaluated in that order
+    because ``M R = L^-1 S`` has entries about as large as R's and, on
+    banded inputs, few nonzeros, so the zero-skipping product multiplies
+    each large entry of ``L`` only a few times, where ``(L M) R`` would
+    multiply each large entry of ``L M`` by a whole row of R.
     """
     if not matrix.is_integer:
         raise ValueError("snf is defined for integer matrices only")
@@ -338,7 +351,7 @@ def snf(matrix: Matrix) -> SNFResult:
     smith = Matrix(row[:cols] for row in w[:rows])
     left = Matrix(row[cols:] for row in w[:rows])
     right = Matrix(row[:cols] for row in w[rows:])
-    if left * matrix * right != smith:
+    if left * (matrix * right) != smith:
         raise ArithmeticError("SNF certificate L*M*R == S failed")
     return SNFResult(smith=smith, left=left, right=right, invariant_factors=factors)
 

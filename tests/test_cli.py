@@ -6,7 +6,13 @@ import pytest
 
 import solvkit.verify
 from solvkit.cli import main
-from solvkit.gcgroup import BAND_ROWS_BUDGET, GcSignature, element_to_json, gc_eval
+from solvkit.gcgroup import (
+    BAND_ROWS_BUDGET,
+    GcSignature,
+    band_matrix,
+    element_to_json,
+    gc_eval,
+)
 from solvkit.linalg import Matrix, matrix_to_json, minor_gcds, snf
 from solvkit.verify import MINKOWSKI_N_BUDGET, LemmaReport, minkowski_bound
 
@@ -136,6 +142,23 @@ class TestMatrixCommands:
         assert json.loads(out) == {
             "minor_gcds": [str(g) for g in minor_gcds(matrix)]
         }
+
+    def test_snf_text_skips_the_transforms(self, capsys, tmp_path):
+        # The band of c = 3,-7,5,2 with m = 120 has Smith form (I | 0), but
+        # its transforms have entries of over 4,300 digits: the text form
+        # prints, while --json still stops at the digit limit.
+        c, m = GcSignature((3, -7, 5, 2)), 120
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(matrix_to_json(band_matrix(c, m))))
+        rows = "\n".join(
+            "[" + ", ".join("1" if j == i else "0" for j in range(m + 3)) + "]"
+            for i in range(m)
+        )
+        expected = rows + "\ninvariant factors: " + ", ".join(["1"] * m) + "\n"
+        assert run_cli(capsys, "snf", "--in", str(path)) == (0, expected, "")
+        code, out, err = run_cli(capsys, "snf", "--in", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert err == "solvkit: a number is over the limit of 4300 decimal digits\n"
 
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "snf", "--in", str(tmp_path / "nope.json"))

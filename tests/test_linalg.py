@@ -72,6 +72,51 @@ class TestMatrixBasics:
     def test_multiplication_shape_mismatch(self):
         with pytest.raises(DimensionError):
             Matrix([[1, 2]]) * Matrix([[1, 2]])
+        for rows, inner, other, cols in [(2, 3, 2, 3), (3, 1, 2, 1), (1, 4, 5, 4)]:
+            with pytest.raises(DimensionError):
+                Matrix.zeros(rows, inner) * Matrix.zeros(other, cols)
+
+    def test_product_against_triple_loop(self):
+        # About half the entries are zero, so whole rows and columns of zeros
+        # turn up; entries mix ints and fractions whose products may cancel
+        # to integers.  Values and types (int exactly when integral) match.
+        rng = random.Random(13)
+
+        def entry():
+            if rng.random() < 0.5:
+                return 0
+            if rng.random() < 0.5:
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        def naive_product(a, b):
+            return [
+                [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+                 for j in range(len(b[0]))]
+                for i in range(len(a))
+            ]
+
+        shapes = [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)) for _ in range(260)]
+        shapes += [(1, n, 1) for n in range(1, 8)] + [(n, 1, n) for n in range(1, 8)]
+        shapes += [(n, n, n) for n in range(1, 8)] * 4
+        for rows, inner, cols in shapes:
+            a = [[entry() for _ in range(inner)] for _ in range(rows)]
+            b = [[entry() for _ in range(cols)] for _ in range(inner)]
+            if rng.random() < 0.2:
+                a[rng.randrange(rows)] = [0] * inner
+            if rng.random() < 0.2:
+                j = rng.randrange(cols)
+                for row in b:
+                    row[j] = 0
+            product = Matrix(a) * Matrix(b)
+            expected = naive_product(a, b)
+            assert (product.rows, product.cols) == (rows, cols)
+            for i in range(rows):
+                for j in range(cols):
+                    value = product[i, j]
+                    assert value == expected[i][j]
+                    integral = expected[i][j].denominator == 1
+                    assert type(value) is (int if integral else Fraction)
 
     def test_det_against_permutation_oracle(self):
         rng = random.Random(11)
@@ -155,6 +200,30 @@ class TestSNF:
         ]
         result = snf(Matrix(rows))
         assert result.invariant_factors == (1, 1125, 10125)
+
+    @pytest.mark.parametrize("wrong_call", [0, 1])
+    @pytest.mark.parametrize("entry", [(0, 0), (-1, -1)])
+    def test_certificate_rejects_a_wrong_product(self, monkeypatch, wrong_call, entry):
+        # One entry off by one in either product of L (M R) must be caught:
+        # off in M R it shifts the result by a column of the unimodular L,
+        # which is never zero.
+        multiply = Matrix.__mul__
+        calls = []
+
+        def off_by_one(self, other):
+            product = multiply(self, other)
+            calls.append(None)
+            if len(calls) - 1 != wrong_call:
+                return product
+            rows = [list(row) for row in product.rows_as_tuples()]
+            i, j = entry
+            rows[i][j] += 1
+            return Matrix(rows)
+
+        monkeypatch.setattr(Matrix, "__mul__", off_by_one)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            snf(Matrix([[2, 3, 0], [0, 2, 3]]))
+        assert len(calls) > wrong_call
 
     def test_random_matrices_full_contract(self):
         # transforms, unimodularity, divisibility chain, and the minor-gcd
