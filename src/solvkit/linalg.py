@@ -64,7 +64,11 @@ class Matrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(exact_scalar(x) for x in row) for row in entries)
+        # an all-int row is canonical as it is; bool is not int here
+        data = tuple(
+            row if set(map(type, row)) <= {int} else tuple(map(exact_scalar, row))
+            for row in map(tuple, entries)
+        )
         if not data or not data[0]:
             raise DimensionError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -97,7 +101,7 @@ class Matrix:
 
     @property
     def is_integer(self) -> bool:
-        return all(isinstance(x, int) for row in self._data for x in row)
+        return all(set(map(type, row)) <= {int} for row in self._data)
 
     @property
     def is_square(self) -> bool:
@@ -260,6 +264,13 @@ def snf(matrix: Matrix) -> SNFResult:
     pivot, the offending row is folded in and the reduction restarted, so
     the divisibility chain holds by construction.
 
+    Each sweep reads all column quotients off row k first (column k and
+    the rest of row k stay put meanwhile) and gives each work row with a
+    nonzero pivot-column entry its column steps in one pass; the pivot is
+    the first least of the per-row minima; a pivot of 1, which divides
+    everything, skips the offender scan.  These are the pivots and steps
+    of an entry-at-a-time sweep, in its order, so the output is the same.
+
     All steps act on one work array that starts as ``[[M, I], [I, 0]]``.
     Row steps touch only the top ``rows`` rows and column steps only the
     left ``cols`` columns, so the array ends as ``[[S, L], [R, 0]]`` with
@@ -285,25 +296,19 @@ def snf(matrix: Matrix) -> SNFResult:
         # row_dst += q * row_src
         w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
 
-    def add_col_multiple(dst, src, q):
-        for row in w:
-            row[dst] += q * row[src]
-
     def select_pivot(k) -> bool:
         # smallest |entry|, the first in row-major order on ties
-        best = min(
-            (
-                (abs(w[i][j]), i, j)
-                for i in range(k, rows)
-                for j in range(k, cols)
-                if w[i][j]
-            ),
-            default=None,
-        )
-        if best is None:
+        best, bi = math.inf, None
+        for i in range(k, rows):
+            low = min(map(abs, filter(None, w[i][k:cols])), default=math.inf)
+            if low < best:
+                best, bi = low, i
+                if low == 1:
+                    break
+        if bi is None:
             return False
-        _, i, j = best
-        w[k], w[i] = w[i], w[k]
+        j = next(j for j in range(k, cols) if abs(w[bi][j]) == best)
+        w[k], w[bi] = w[bi], w[k]
         if j != k:
             for row in w:
                 row[k], row[j] = row[j], row[k]
@@ -319,26 +324,31 @@ def snf(matrix: Matrix) -> SNFResult:
             # leave remainders in place; they are strictly smaller than the
             # pivot, so re-selecting keeps the pivot shrinking and the
             # entries tame.
+            pivot = w[k][k]
             for i in range(k + 1, rows):
                 if w[i][k] != 0:
-                    q = w[i][k] // w[k][k]
+                    q = w[i][k] // pivot
                     if q:
                         add_row_multiple(i, k, -q)
-            for j in range(k + 1, cols):
-                if w[k][j] != 0:
-                    q = w[k][j] // w[k][k]
-                    if q:
-                        add_col_multiple(j, k, -q)
+            # column j gets -q_j times column k, all in one pass per row
+            steps = [(j, q) for j, x in enumerate(w[k][k + 1 : cols], k + 1) if (q := -(x // pivot))]
+            for row in w:
+                x = row[k]
+                if x:
+                    for j, q in steps:
+                        row[j] += q * x
             if any(w[i][k] for i in range(k + 1, rows)) or any(
                 w[k][j] for j in range(k + 1, cols)
             ):
                 select_pivot(k)
                 continue
+            if pivot == 1:
+                break  # 1 divides every entry: there is no offender to find
             offender = next(
                 (
                     i
                     for i in range(k + 1, rows)
-                    if any(x % w[k][k] for x in w[i][k + 1 : cols])
+                    if any(x % pivot for x in w[i][k + 1 : cols])
                 ),
                 None,
             )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvkit.gcgroup import GcSignature, band_matrix
 from solvkit.linalg import (
     MINOR_BUDGET,
     DimensionError,
@@ -18,6 +19,7 @@ from solvkit.linalg import (
     snf,
     solve_integer_system,
 )
+from snf_reference import reference_snf
 
 
 def naive_det(m: Matrix):
@@ -47,6 +49,12 @@ class TestMatrixBasics:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[1.5]])
+
+    @pytest.mark.parametrize("rows", [[[True]], [[1, True]], [[1, 2], [False, 3]]])
+    def test_bools_rejected(self, rows):
+        # an all-int row is taken as it is; a bool must not pass as one
+        with pytest.raises(TypeError):
+            Matrix(rows)
 
     def test_integral_fractions_canonicalize_to_int(self):
         m = Matrix([[Fraction(4, 2), Fraction(1, 3)]])
@@ -250,6 +258,68 @@ class TestSNF:
             assert all(
                 factors[i] * gammas[i] == gammas[i + 1] for i in range(len(factors))
             )
+
+
+def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """A product of random elementary integer row operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.randint(-3, 3)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def assert_same_as_reference(m: Matrix):
+    got, want = snf(m), reference_snf(m)
+    assert got.smith == want.smith
+    assert got.left == want.left
+    assert got.right == want.right
+    assert got.invariant_factors == want.invariant_factors
+
+
+class TestSNFAgainstReference:
+    # snf must pick the reference's pivots and apply its steps in its order,
+    # so the transforms, not only the Smith form, must match exactly.
+
+    def test_random_matrices(self):
+        rng = random.Random(1010)
+        for trial in range(1200):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            zeros = rng.random() * 0.9
+            # a tenth are scaled, so pivots above 1 and offender folds occur
+            scale = rng.choice((2, 3, 6)) if trial % 10 == 0 else 1
+            m = Matrix(
+                [
+                    [0 if rng.random() < zeros else scale * rng.randint(-20, 20) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            )
+            assert_same_as_reference(m)
+
+    @pytest.mark.parametrize("c", [(2, -1), (3, -7, 5, 2), (1, 3, 0, -2, 1), (2, 1, -3), (5, -3, 4, -2, 5)])
+    @pytest.mark.parametrize("m", [20, 60])
+    def test_bands(self, c, m):
+        assert_same_as_reference(band_matrix(GcSignature(c), m))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_dense_with_known_smith_form(self, n):
+        rng = random.Random(n)
+        diag = [1, 1, 2, 2, 6] + [12] * (n - 7) + [0, 0]
+        middle = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        u, v = Matrix(random_unimodular(rng, n)), Matrix(random_unimodular(rng, n))
+        m = u * Matrix(middle) * v
+        assert snf(m).invariant_factors == tuple(diag[:-2])
+        assert_same_as_reference(m)
+
+    def test_offender_fold_with_pivot_above_one(self):
+        # pivot 2 at k = 1 leaves 3 undivided, so row 2 is folded in
+        m = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        assert snf(m).invariant_factors == (1, 1, 6)
+        assert_same_as_reference(m)
 
 
 class TestMinorGcds:

@@ -1,4 +1,5 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +83,24 @@ def test_cli_prints_only_in_main():
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     assert prints(main)
     assert prints(tree) == prints(main)
+
+
+def test_bench_files_name_commits_seeds_and_workloads():
+    # A speed claim counts only with a before/after BENCH_<n>.json at the root.
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in contract["workloads"]}
+    metrics = [m["name"] for m in contract["end_to_end"]]
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        commits = bench["commits"]
+        assert all(isinstance(commits[side], str) and commits[side] for side in ("parent", "change"))
+        assert bench["run_seconds"] > 0
+        assert set(bench["workloads"]) == workloads, path.name
+        for name, runs in bench["workloads"].items():
+            assert runs["seeds"] and all(isinstance(seed, int) for seed in runs["seeds"]), name
+            for side in ("parent", "change"):
+                for metric in metrics:
+                    quartiles = runs[side][metric]
+                    assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"], (name, side, metric)
