@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import (
@@ -82,6 +83,11 @@ class GcElement:
     v"; the product rule is ``(v1, k1) (v2, k2) = (v1 A^k2 + v2, k1 + k2)``
     with ``A`` the companion action.  Chosen so that evaluating
     ``a^-i b a^i`` yields ``(e_1 A^i, 0)``.
+
+    ``v`` is also kept as its canonical residue pair ``_pair``, which is no
+    field, so ``==``, ``hash`` and ``repr`` see only ``(v, k)``.  Products
+    and inverses store the pair they computed and skip the scalar checks;
+    an element built here derives the pair from ``v`` when first read.
     """
 
     translation: tuple[Scalar, ...]
@@ -92,6 +98,10 @@ class GcElement:
         object.__setattr__(self, "translation", cleaned)
         if isinstance(self.shift, bool) or not isinstance(self.shift, int):
             raise TypeError("shift must be an integer")
+
+    @cached_property
+    def _pair(self):
+        return _residue(self.translation)
 
     @property
     def is_identity(self) -> bool:
@@ -131,20 +141,31 @@ def companion_action(c: GcSignature) -> Matrix:
 
 
 def _reduce(c: GcSignature, nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """``(sum_j nums[j] x^j) / den mod c``: ``s`` integer numerators over a
-    positive denominator, in lowest terms, so equal residues are equal pairs."""
+    """``(sum_j nums[j] x^j) / den mod c`` as ``s`` integer numerators over
+    one denominator, by cancelling the top terms against ``c``.  No gcd is
+    taken, so the pair need not be in lowest terms, and its denominator is
+    negative when an odd number of steps scaled by a negative ``c_s``;
+    :func:`_canonical` gives the one pair of each residue."""
     coeffs, s, nums = c.coeffs, c.s, list(nums)
-    lead = coeffs[s]
+    lead, low = coeffs[s], coeffs[:s]
     for top in range(len(nums) - 1, s - 1, -1):
         # Cancel the top term with x^(top-s) c, scaling by c_s unless it divides.
         q = nums.pop()
+        if not q:
+            continue
         if q % lead:
             nums, den = [lead * x for x in nums], den * lead
         else:
             q //= lead
-        for i in range(s):
-            nums[top - s + i] -= q * coeffs[i]
+        nums[top - s : top] = [x - q * y for x, y in zip(nums[top - s : top], low)]
     nums += [0] * (s - len(nums))
+    return tuple(nums), den
+
+
+def _canonical(r):
+    """The residue ``r`` in lowest terms with a positive denominator, so that
+    equal residues are equal pairs."""
+    nums, den = r
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     return tuple(x // g for x in nums), den // g
 
@@ -160,27 +181,21 @@ def _mul(c: GcSignature, a, b):
 
 
 def _times_x_power(c: GcSignature, r, k: int):
-    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps, the top-term cancellation
-    of :func:`_reduce` multiplies by ``x`` once per step.  For negative ``k``
-    it runs against reversed ``c`` on reversed numerators: ``p x^-1 = q mod c``
-    exactly when ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of
-    ``c``.  Beyond the limit, ``r`` is multiplied by square-and-multiply from
-    the one-step base ``x^(+-1)``; a zero residue is returned as it is.
+    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps this is
+    :func:`_shift_add` with nothing added.  Beyond the limit, ``r`` is
+    multiplied by square-and-multiply from the one-step base ``x^(+-1)``;
+    a zero residue is returned as it is.
 
     Unless every root of ``c`` is a root of unity, ``x^k`` has about
     ``|k|`` bits, so a huge ``k`` would never finish: ``ValueError`` is
     raised instead of squaring a base whose square would pass
     ``RESIDUE_BITS_BUDGET`` bits (twice the bits of its numerators and
-    denominator)."""
-    nums, den = r
-    if not any(nums):
+    denominator); each base is canonical, so this measures the residue."""
+    if not any(r[0]):
         return r
-    if 0 <= k <= STEP_LIMIT:
-        return _reduce(c, [0] * k + list(nums), den)
-    if -STEP_LIMIT <= k < 0:
-        nums, den = _reduce(GcSignature(c.coeffs[::-1]), [0] * -k + list(nums[::-1]), den)
-        return nums[::-1], den
-    base, n = _times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1), abs(k)
+    if abs(k) <= STEP_LIMIT:
+        return _shift_add(c, r, k, ((0,) * c.s, 1))
+    base, n = _canonical(_times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1)), abs(k)
     while n:
         if n & 1:
             r = _mul(c, r, base)
@@ -189,14 +204,31 @@ def _times_x_power(c: GcSignature, r, k: int):
             bits = base[1].bit_length() + sum(map(int.bit_length, base[0]))
             if 2 * bits > RESIDUE_BITS_BUDGET:
                 raise ValueError(f"x^{k} mod c needs more than {RESIDUE_BITS_BUDGET} bits")
-            base = _mul(c, base, base)
+            base = _canonical(_mul(c, base, base))
     return r
 
 
 def _shift_add(c: GcSignature, r, k: int, v):
-    """``r x^k + v`` for residues ``r`` and ``v``."""
-    (p, dp), (q, dq) = _times_x_power(c, r, k), v
-    return _reduce(c, [x * dq + y * dp for x, y in zip(p, q)], dp * dq)
+    """``r x^k + v`` for residues ``r`` and ``v``; a zero ``r`` gives ``v``.
+
+    For ``|k| <= STEP_LIMIT`` the sum ``p x^k dq + q dp`` over ``dp dq`` is
+    built at once and :func:`_reduce` cancels it in one pass, one top term
+    per power of ``x``.  Negative ``k`` runs the same on reversed numerators
+    against reversed ``c``: ``p x^-1 = q mod c`` exactly when
+    ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of ``c``.
+    Longer shifts first go through :func:`_times_x_power`."""
+    (p, dp), (q, dq) = r, v
+    if not any(p):
+        return v
+    if abs(k) > STEP_LIMIT:
+        (p, dp), k = _times_x_power(c, r, k), 0
+    flip = k < 0
+    if flip:
+        c, p, q, k = GcSignature(c.coeffs[::-1]), p[::-1], q[::-1], -k
+    nums = [0] * k + [x * dq for x in p]
+    nums[: c.s] = [x + y * dp for x, y in zip(nums, q)]
+    nums, den = _reduce(c, nums, dp * dq)
+    return (nums[::-1], den) if flip else (nums, den)
 
 
 def _residue(translation: Sequence[Scalar]):
@@ -206,6 +238,14 @@ def _residue(translation: Sequence[Scalar]):
 
 def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
     return tuple(Fraction(x, den) if x % den else x // den for x in nums)
+
+
+def _element(pair, shift: int) -> GcElement:
+    """The element with canonical residue ``pair`` and integer ``shift``,
+    which need no check, so ``GcElement.__post_init__`` is skipped."""
+    element = object.__new__(GcElement)
+    element.__dict__.update(translation=_scalars(*pair), shift=shift, _pair=pair)
+    return element
 
 
 def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
@@ -229,15 +269,14 @@ def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
     """Product in ``Q^s x| Z``: ``(v1, k1)(v2, k2) = (v1 A^k2 + v2, k1+k2)``."""
     _require_same_signature(c, g)
     _require_same_signature(c, h)
-    moved = _shift_add(c, _residue(g.translation), h.shift, _residue(h.translation))
-    return GcElement(_scalars(*moved), g.shift + h.shift)
+    return _element(_canonical(_shift_add(c, g._pair, h.shift, h._pair)), g.shift + h.shift)
 
 
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
     """Inverse: ``(v, k)^-1 = (-v A^-k, -k)``."""
     _require_same_signature(c, g)
-    moved = _times_x_power(c, _residue(g.translation), -g.shift)
-    return GcElement(tuple(-x for x in _scalars(*moved)), -g.shift)
+    nums, den = _canonical(_times_x_power(c, g._pair, -g.shift))
+    return _element((tuple(-x for x in nums), den), -g.shift)
 
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
@@ -474,7 +513,7 @@ def base_membership(
     one = _reduce(c, [1], 1)
     for j in range(j_max + 1):
         powers = list(range(-j, j + c.s))
-        residues = [_times_x_power(c, one, i) for i in powers]
+        residues = [_canonical(_times_x_power(c, one, i)) for i in powers]
         den = math.lcm(*(d for _, d in residues))
         if den % target_den:
             continue

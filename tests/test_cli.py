@@ -335,6 +335,26 @@ class TestErrorPaths:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout == b'{"translation": ["-1"], "shift": "0"}\n'
 
+    @pytest.mark.parametrize(
+        "command, code, out, err",
+        [("is-identity", 0, b'{"is_identity": false}\n', b""),
+         ("eval", 1, b"", b"solvkit: a number is over the limit of 4300 decimal digits\n")],
+        ids=["is-identity", "eval"],
+    )
+    def test_longest_shift_zero_word_answers_promptly(self, command, code, out, err):
+        # (b a)^n a^-n lights n lamps; at n = 32,750 the word is 131,008
+        # characters, the longest one argument can carry.  A gcd after every
+        # Horner step made it cubic in n; its translation has over 15,000
+        # digits, so eval meets the output limit.
+        n = 32750
+        word = "b a " * n + f"a^-{n}"
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", command, "--c", "2,3", "--json", word],
+            capture_output=True,
+            timeout=10,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
     def test_membership_over_window_budget_is_refused_promptly(self):
         # One window system per j: --jmax 100000000 would run for hours.
         result = subprocess.run(

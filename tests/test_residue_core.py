@@ -1,0 +1,139 @@
+"""The residue core against its eager predecessor, and the residue pair
+that group elements carry."""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+import residue_reference as ref
+
+from solvkit.gcgroup import (
+    STEP_LIMIT,
+    GcElement,
+    GcSignature,
+    gc_eval,
+    gc_inv,
+    gc_is_identity,
+    gc_mul,
+    gc_pow,
+)
+from solvkit.gcgroup import _canonical, _lamp_residue, _residue, _shift_add, _times_x_power
+from solvkit.verify import defining_relator_word, random_signature, random_word
+from solvkit.words import GeneratorWord
+from solvkit.wreath import word_lamps
+
+# c_s < 0 makes the cancellation scale by a negative leading coefficient,
+# and c_0 < 0 does the same for negative shifts, which run against reversed c.
+SIGNED = [(2, -3), (-2, 3), (-2, -3), (3, 1, -2), (-3, 0, 5, -2), (-5, 2, 7), (2, 1, 0, -1, -3)]
+
+
+def signatures(rng, count):
+    return [GcSignature(c) for c in SIGNED] + [random_signature(rng, s_max=6) for _ in range(count)]
+
+
+def random_translation(rng, s):
+    return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10))) for _ in range(s))
+
+
+def random_residues(rng, s):
+    """A residue as its canonical pair and as a pair with a common factor and
+    possibly a negative denominator, the forms the core passes around."""
+    pair = _residue(random_translation(rng, s))
+    factor = rng.choice((-6, -2, -1, 2, 3, 5))
+    return pair, (tuple(factor * x for x in pair[0]), factor * pair[1])
+
+
+def random_element(rng, c):
+    return GcElement(random_translation(rng, c.s), rng.randint(-40, 40))
+
+
+def words_with_conjugated_relators(rng, c, count):
+    for _ in range(count):
+        letters = list(random_word(rng, max_terms=12, max_exponent=5).letters)
+        if rng.random() < 0.5:
+            k, at = rng.randint(-60, 60), rng.randint(0, len(letters))
+            letters[at:at] = [("a", -k), *defining_relator_word(c).letters, ("a", k)]
+        yield GeneratorWord.from_letters(letters)
+
+
+class TestAgainstEagerReference:
+    def test_words(self):
+        rng = random.Random(1201)
+        trivial = 0
+        for c in signatures(rng, 30):
+            for word in words_with_conjugated_relators(rng, c, 12):
+                lamps, shift = word_lamps(word)
+                residue, low = _lamp_residue(c, lamps)
+                expected, expected_low = ref._lamp_residue(c, lamps)
+                assert (_canonical(residue), low) == (expected, expected_low), (c, word)
+                moved = ref._times_x_power(c, expected, expected_low)
+                assert gc_eval(c, word) == GcElement(tuple(Fraction(x, moved[1]) for x in moved[0]), shift)
+                assert gc_is_identity(c, word) == (shift == 0 and not any(expected[0]))
+                trivial += not any(expected[0])
+        assert trivial >= 20
+
+    def test_shifts_on_both_sides_of_step_limit(self):
+        assert STEP_LIMIT < 80
+        rng = random.Random(1202)
+        for c in signatures(rng, 8):
+            for k in range(-80, 81):
+                (r0, r), (v0, v) = random_residues(rng, c.s), random_residues(rng, c.s)
+                assert _canonical(_times_x_power(c, r, k)) == ref._times_x_power(c, r0, k), (c, k)
+                assert _canonical(_shift_add(c, r, k, v)) == ref._shift_add(c, r0, k, v0), (c, k)
+
+    def test_products_inverses_and_powers(self):
+        rng = random.Random(1203)
+        for c in signatures(rng, 20):
+            for _ in range(6):
+                g, h = random_element(rng, c), random_element(rng, c)
+                expected = ref._shift_add(c, _residue(g.translation), h.shift, _residue(h.translation))
+                product = gc_mul(c, g, h)
+                assert product._pair == expected
+                assert product == GcElement(tuple(Fraction(x, expected[1]) for x in expected[0]), g.shift + h.shift)
+                nums, den = ref._times_x_power(c, _residue(g.translation), -g.shift)
+                assert gc_inv(c, g)._pair == (tuple(-x for x in nums), den)
+                n = rng.randint(-6, 6)
+                folded = GcElement((0,) * c.s, 0)
+                for _ in range(abs(n)):
+                    step = g if n > 0 else gc_inv(c, g)
+                    pair = ref._shift_add(c, _residue(folded.translation), step.shift, _residue(step.translation))
+                    folded = GcElement(tuple(Fraction(x, pair[1]) for x in pair[0]), folded.shift + step.shift)
+                assert gc_pow(c, g, n) == folded, (c, g, n)
+
+
+class TestElementResidue:
+    def test_fields_equality_hash_and_repr(self):
+        assert [f.name for f in dataclasses.fields(GcElement)] == ["translation", "shift"]
+        rng = random.Random(1204)
+        for c in signatures(rng, 10):
+            g, h = random_element(rng, c), random_element(rng, c)
+            for computed in (gc_mul(c, g, h), gc_inv(c, g), gc_pow(c, g, 3)):
+                built = GcElement(computed.translation, computed.shift)
+                assert computed == built and hash(computed) == hash(built)
+                assert repr(computed) == repr(built)
+                assert [type(x) for x in computed.translation] == [type(x) for x in built.translation]
+                assert computed._pair == built._pair == _residue(built.translation)
+
+    def test_constructor_checks_are_unchanged(self):
+        for bad in [(True, 0), (0.5, 1), ("1", 0)]:
+            with pytest.raises(TypeError):
+                GcElement(bad, 0)
+        for shift in (True, 1.0):
+            with pytest.raises(TypeError):
+                GcElement((1, 2), shift)
+        element = GcElement((Fraction(4, 2), Fraction(-3, 6)), 5)
+        assert element.translation == (2, Fraction(-1, 2)) and type(element.translation[0]) is int
+        assert element._pair == ((4, -1), 2)
+
+    def test_product_does_not_depend_on_a_stored_residue(self):
+        rng = random.Random(1205)
+        for c in signatures(rng, 10):
+            g = gc_mul(c, random_element(rng, c), random_element(rng, c))
+            h = gc_inv(c, random_element(rng, c))
+            g2, h2 = GcElement(g.translation, g.shift), GcElement(h.translation, h.shift)
+            for x, y in [(g, h), (h, g), (g, g)]:
+                fresh = gc_mul(c, GcElement(x.translation, x.shift), GcElement(y.translation, y.shift))
+                assert gc_mul(c, x, y) == fresh
+                assert gc_mul(c, x, y)._pair == fresh._pair
+            assert gc_mul(c, g, h2) == gc_mul(c, g2, h) == gc_mul(c, g2, h2)

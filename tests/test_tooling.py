@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -104,3 +105,33 @@ def test_bench_files_name_commits_seeds_and_workloads():
                 for metric in metrics:
                     quartiles = runs[side][metric]
                     assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"], (name, side, metric)
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    # The summary step of tools/bench_pairs.py, on run results written out
+    # by hand; no benchmark runs.
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    better = {"wall_s": "lower", "ops_per_s": "higher"}
+
+    def run(wall, failed=0):
+        metrics = {"wall_s": {"value": wall, "unit": "s"}, "ops_per_s": {"value": 6 / wall, "unit": "1/s"}}
+        return {"correct": True, "attempted": 6, "failed": failed, "metrics": metrics}
+
+    runs = {
+        "parent": [run(w) for w in (2.0, 2.4, 2.1, 2.2, 2.3)],
+        "change": [run(w) for w in (1.9, 2.4, 1.8, 1.7, 2.2)],
+    }
+    runs["change"][1]["failed"] = 1
+    record = bench_pairs.summarize(runs, better, [5])
+    assert record["seeds"] == [5] and record["pairs"] == 5
+    assert record["attempted"] == {"parent": 30, "change": 30}
+    assert record["failed"] == {"parent": 0, "change": 1}
+    assert record["parent"]["wall_s"] == {"median": 2.2, "q1": 2.1, "q3": 2.3}
+    assert record["change"]["wall_s"] == {"median": 1.9, "q1": 1.8, "q3": 2.2}
+    # the tie in pair 1 counts for neither side
+    assert record["change_wins"] == {"wall_s": "4 of 5", "ops_per_s": "4 of 5"}
+    assert record["change_over_parent_median"]["wall_s"] == round(1.9 / 2.2, 4)
+    assert record["runs"]["change"]["wall_s"] == [1.9, 2.4, 1.8, 1.7, 2.2]
+    assert record["runs"]["parent"]["ops_per_s"] == [round(6 / w, 6) for w in (2.0, 2.4, 2.1, 2.2, 2.3)]
