@@ -62,6 +62,14 @@ class GcSignature:
     def s(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _reversed(self) -> "GcSignature":
+        """``c`` with its coefficients reversed, built once and unchecked:
+        the reversal of a valid signature is valid."""
+        rev = object.__new__(GcSignature)
+        rev.__dict__["coeffs"] = self.coeffs[::-1]
+        return rev
+
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.coeffs)
 
@@ -85,9 +93,12 @@ class GcElement:
     ``a^-i b a^i`` yields ``(e_1 A^i, 0)``.
 
     ``v`` is also kept as its canonical residue pair ``_pair``, which is no
-    field, so ``==``, ``hash`` and ``repr`` see only ``(v, k)``.  Products
-    and inverses store the pair they computed and skip the scalar checks;
-    an element built here derives the pair from ``v`` when first read.
+    field, so ``hash``, ``repr`` and ``fields`` see only ``(v, k)``; ``==``
+    and ``is_identity`` read ``(k, _pair)``, which says the same, as each
+    residue has one canonical pair.  Products and inverses store only the
+    shift and the pair they computed, skip the scalar checks, and build
+    ``translation`` from the pair on first read; an element built here
+    derives the pair from ``v`` when first read.
     """
 
     translation: tuple[Scalar, ...]
@@ -99,13 +110,27 @@ class GcElement:
         if isinstance(self.shift, bool) or not isinstance(self.shift, int):
             raise TypeError("shift must be an integer")
 
+    def __getattr__(self, name):
+        # Only reached while an element made by ``_element`` has no
+        # translation yet.
+        pair = self.__dict__.get("_pair") if name == "translation" else None
+        if pair is None:
+            raise AttributeError(name)
+        translation = self.__dict__["translation"] = _scalars(*pair)
+        return translation
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shift == other.shift and self._pair == other._pair
+
     @cached_property
     def _pair(self):
         return _residue(self.translation)
 
     @property
     def is_identity(self) -> bool:
-        return self.shift == 0 and all(x == 0 for x in self.translation)
+        return self.shift == 0 and not any(self._pair[0])
 
 
 def band_matrix(c: GcSignature, m: int) -> Matrix:
@@ -224,7 +249,7 @@ def _shift_add(c: GcSignature, r, k: int, v):
         (p, dp), k = _times_x_power(c, r, k), 0
     flip = k < 0
     if flip:
-        c, p, q, k = GcSignature(c.coeffs[::-1]), p[::-1], q[::-1], -k
+        c, p, q, k = c._reversed, p[::-1], q[::-1], -k
     nums = [0] * k + [x * dq for x in p]
     nums[: c.s] = [x + y * dp for x, y in zip(nums, q)]
     nums, den = _reduce(c, nums, dp * dq)
@@ -242,9 +267,10 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 
 def _element(pair, shift: int) -> GcElement:
     """The element with canonical residue ``pair`` and integer ``shift``,
-    which need no check, so ``GcElement.__post_init__`` is skipped."""
+    which need no check, so ``GcElement.__post_init__`` is skipped; its
+    ``translation`` is built when first read."""
     element = object.__new__(GcElement)
-    element.__dict__.update(translation=_scalars(*pair), shift=shift, _pair=pair)
+    element.__dict__.update(shift=shift, _pair=pair)
     return element
 
 
@@ -258,9 +284,10 @@ def gc_identity(c: GcSignature) -> GcElement:
 
 
 def _require_same_signature(c: GcSignature, element: GcElement):
-    if len(element.translation) != c.s:
+    # reads the pair, as reading ``translation`` would build it
+    if len(element._pair[0]) != c.s:
         raise ValueError(
-            f"element has translation length {len(element.translation)}, "
+            f"element has translation length {len(element._pair[0])}, "
             f"signature expects {c.s}"
         )
 
@@ -355,9 +382,10 @@ def relator_check(c: GcSignature) -> bool:
     """
     if any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0][0]):
         return False
-    b0 = GcElement(basis_orbit_vector(c, 0), 0)
+    one = _reduce(c, [1], 1)
+    b0 = _element(one, 0)
     for i in range(-2, c.s + 2):
-        bi = GcElement(basis_orbit_vector(c, i), 0)
+        bi = _element(_canonical(_times_x_power(c, one, i)), 0)
         if gc_mul(c, b0, bi) != gc_mul(c, bi, b0):
             return False
     return True

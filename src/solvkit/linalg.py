@@ -79,6 +79,15 @@ class Matrix:
         self._data = data
 
     @classmethod
+    def _of_int_rows(cls, rows: list[list[int]]) -> "Matrix":
+        """The matrix of ``rows``, nonempty lists of ``int`` of one length,
+        taken without the checks of the constructor."""
+        matrix = object.__new__(cls)
+        matrix._data = tuple(map(tuple, rows))
+        matrix.rows, matrix.cols = len(rows), len(rows[0])
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -145,19 +154,7 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            # Each output row is a sum of rows of ``other``, skipping zeros on
-            # both sides: a banded or zero-padded factor costs only its
-            # nonzero entries.
-            terms = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
-            out = []
-            for row in self._data:
-                acc = [0] * other.cols
-                for a, nonzeros in zip(row, terms):
-                    if a:
-                        for j, b in nonzeros:
-                            acc[j] += a * b
-                out.append(acc)
-            return Matrix(out)
+            return Matrix(_product(self._data, other._data, other.cols))
         if isinstance(other, (int, Fraction)):
             return Matrix([[x * other for x in row] for row in self._data])
         return NotImplemented
@@ -208,6 +205,23 @@ class Matrix:
                     factor = work[r][col]
                     work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
         return Matrix([row[n:] for row in work])
+
+
+def _product(left, right, cols: int) -> list[list]:
+    """The product of two matrices given as row sequences, ``right`` with
+    ``cols`` columns.  Each output row is a sum of rows of ``right``,
+    skipping zeros on both sides: a banded or zero-padded factor costs only
+    its nonzero entries."""
+    terms = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+    out = []
+    for row in left:
+        acc = [0] * cols
+        for a, nonzeros in zip(row, terms):
+            if a:
+                for j, b in nonzeros:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def _det_bareiss(data) -> int:
@@ -276,8 +290,10 @@ def snf(matrix: Matrix) -> SNFResult:
     left ``cols`` columns, so the array ends as ``[[S, L], [R, 0]]`` with
     ``L M R = S``, and the transforms are read off it.
 
-    Every call checks the certificate ``L (M R) == S`` exactly and raises
-    ``ArithmeticError`` when it fails.  It is evaluated in that order
+    Every call checks the certificate ``L (M R) == S`` exactly, on the row
+    lists and with the product of ``Matrix``, and raises
+    ``ArithmeticError`` when it fails.  The checked rows become the
+    result's matrices as they are.  It is evaluated in that order
     because ``M R = L^-1 S`` has entries about as large as R's and, on
     banded inputs, few nonzeros, so the zero-skipping product multiplies
     each large entry of ``L`` only a few times, where ``(L M) R`` would
@@ -358,11 +374,12 @@ def snf(matrix: Matrix) -> SNFResult:
 
     diagonal = (w[i][i] for i in range(min(rows, cols)))
     factors = tuple(itertools.takewhile(lambda d: d != 0, diagonal))
-    smith = Matrix(row[:cols] for row in w[:rows])
-    left = Matrix(row[cols:] for row in w[:rows])
-    right = Matrix(row[:cols] for row in w[rows:])
-    if left * (matrix * right) != smith:
+    smith = [row[:cols] for row in w[:rows]]
+    left = [row[cols:] for row in w[:rows]]
+    right = [row[:cols] for row in w[rows:]]
+    if _product(left, _product(matrix.rows_as_tuples(), right, cols), cols) != smith:
         raise ArithmeticError("SNF certificate L*M*R == S failed")
+    smith, left, right = map(Matrix._of_int_rows, (smith, left, right))
     return SNFResult(smith=smith, left=left, right=right, invariant_factors=factors)
 
 
@@ -372,12 +389,15 @@ MINOR_BUDGET = 10**5
 def minor_gcds(matrix: Matrix) -> tuple[int, ...]:
     """gcds of all i x i minors, for i = 1 .. min(rows, cols).
 
-    Enumerates every minor combinatorially, so the cost is exponential in
-    the smaller dimension; this is an oracle for testing, not a production
-    path.  Entry i is zero exactly when all (i+1) x (i+1) minors vanish.
-    A matrix with more than ``MINOR_BUDGET`` minors in all,
-    ``sum_k C(rows, k) C(cols, k) = C(rows + cols, rows) - 1``, is refused
-    with ``ValueError``.
+    Enumerates every minor, so the cost is exponential in the smaller
+    dimension; this is an oracle for testing, not a production path.  Each
+    k x k minor is the Laplace expansion of its last row against the
+    (k-1) x (k-1) minors of its other rows, kept from the size before:
+    about ``k`` products per minor, one list of ints per row selection
+    that a larger minor still extends.  Entry i is zero exactly when all
+    (i+1) x (i+1) minors vanish.  A matrix with more than ``MINOR_BUDGET``
+    minors in all, ``sum_k C(rows, k) C(cols, k) = C(rows + cols, rows) - 1``,
+    is refused with ``ValueError``.
     """
     if not matrix.is_integer:
         raise ValueError("minor_gcds is defined for integer matrices only")
@@ -387,13 +407,39 @@ def minor_gcds(matrix: Matrix) -> tuple[int, ...]:
             f"a {matrix.rows}x{matrix.cols} matrix has {count} minors, "
             f"over the budget of {MINOR_BUDGET}"
         )
-    out, data = [], matrix.rows_as_tuples()
-    k = min(matrix.rows, matrix.cols)
-    for size in range(1, k + 1):
-        g = 0
-        for rows in itertools.combinations(data, size):
-            for col_sel in itertools.combinations(range(matrix.cols), size):
-                g = math.gcd(g, _det_bareiss([[row[j] for j in col_sel] for row in rows]))
+    data, last_row = matrix.rows_as_tuples(), matrix.rows - 1
+    top, out = min(matrix.rows, matrix.cols), []
+    # kept[rows] lists the minors on the row selection ``rows`` (sorted), one
+    # per column selection in the order of ``itertools.combinations``
+    kept, index = {(): [1]}, {(): 0}
+    for size in range(1, top + 1):
+        selections = list(itertools.combinations(range(matrix.cols), size))
+        # expanding along the last row, column t of the minor has the sign
+        # (-1)^(size - 1 + t) and the smaller minor on the selection without it
+        plans = [
+            [
+                (j, index[sel[:t] + sel[t + 1 :]], (size - 1 + t) % 2)
+                for t, j in enumerate(sel)
+            ]
+            for sel in selections
+        ]
+        g, extended = 0, {}
+        for rows in itertools.combinations(range(matrix.rows), size):
+            row, smaller, minors = data[rows[-1]], kept[rows[:-1]], []
+            for plan in plans:
+                det = 0
+                for j, sub, odd in plan:
+                    a = row[j]
+                    if a:
+                        if odd:
+                            det -= a * smaller[sub]
+                        else:
+                            det += a * smaller[sub]
+                minors.append(det)
+                g = math.gcd(g, det)
+            if rows[-1] < last_row and size < top:
+                extended[rows] = minors
+        kept, index = extended, {sel: i for i, sel in enumerate(selections)}
         out.append(g)
     return tuple(out)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from solvkit import linalg
 from solvkit.gcgroup import GcSignature, band_matrix
 from solvkit.linalg import (
     MINOR_BUDGET,
@@ -19,6 +20,7 @@ from solvkit.linalg import (
     snf,
     solve_integer_system,
 )
+from minor_reference import reference_minor_gcds
 from snf_reference import reference_snf
 
 
@@ -214,21 +216,22 @@ class TestSNF:
     def test_certificate_rejects_a_wrong_product(self, monkeypatch, wrong_call, entry):
         # One entry off by one in either product of L (M R) must be caught:
         # off in M R it shifts the result by a column of the unimodular L,
-        # which is never zero.
-        multiply = Matrix.__mul__
+        # which is never zero.  The certificate runs on row lists through
+        # the product helper that Matrix.__mul__ also uses.
+        multiply = linalg._product
         calls = []
 
-        def off_by_one(self, other):
-            product = multiply(self, other)
+        def off_by_one(left, right, cols):
+            product = multiply(left, right, cols)
             calls.append(None)
             if len(calls) - 1 != wrong_call:
                 return product
-            rows = [list(row) for row in product.rows_as_tuples()]
+            rows = [list(row) for row in product]
             i, j = entry
             rows[i][j] += 1
-            return Matrix(rows)
+            return rows
 
-        monkeypatch.setattr(Matrix, "__mul__", off_by_one)
+        monkeypatch.setattr(linalg, "_product", off_by_one)
         with pytest.raises(ArithmeticError, match="certificate"):
             snf(Matrix([[2, 3, 0], [0, 2, 3]]))
         assert len(calls) > wrong_call
@@ -355,6 +358,43 @@ class TestMinorGcds:
                         g = math.gcd(g, m.submatrix(row_sel, col_sel).det())
                 expected.append(g)
             assert minor_gcds(m) == tuple(expected)
+
+    def test_against_reference(self):
+        # the Laplace expansion against one Bareiss determinant per minor,
+        # with zero rows and columns, single rows and columns, and 7-digit
+        # entries
+        rng = random.Random(4099)
+        for trial in range(1200):
+            shape = trial % 4
+            if shape == 0:
+                rows, cols = 1, rng.randint(1, 6)
+            elif shape == 1:
+                rows, cols = rng.randint(1, 6), 1
+            else:
+                rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            bound = 10**7 - 1 if trial % 5 == 0 else 9
+            zeros = rng.random() * 0.6
+            entries = [
+                [0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if trial % 7 == 0:
+                entries[rng.randrange(rows)] = [0] * cols
+            if trial % 11 == 0:
+                j = rng.randrange(cols)
+                for row in entries:
+                    row[j] = 0
+            m = Matrix(entries)
+            assert minor_gcds(m) == reference_minor_gcds(m), m
+
+    def test_at_the_budget_edge(self):
+        # 9 x 10 has C(19, 9) - 1 = 92,377 minors, the largest shape under
+        # the budget; the k-th gcd is sigma_1 ... sigma_k (Smith, 1861)
+        rng = random.Random(910)
+        diag = [1, 1, 2, 2, 6, 6, 12, 0, 0]
+        middle = Matrix([[diag[i] if i == j else 0 for j in range(10)] for i in range(9)])
+        m = Matrix(random_unimodular(rng, 9)) * middle * Matrix(random_unimodular(rng, 10))
+        assert minor_gcds(m) == (1, 1, 2, 4, 24, 144, 1728, 0, 0)
 
     def test_budget(self):
         # sum_k C(r, k) C(c, k) = C(r + c, r) - 1 minors in all

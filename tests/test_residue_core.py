@@ -1,18 +1,23 @@
 """The residue core against its eager predecessor, and the residue pair
 that group elements carry."""
 
+import copy
 import dataclasses
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import residue_reference as ref
 
+from solvkit import verify
 from solvkit.gcgroup import (
     STEP_LIMIT,
     GcElement,
     GcSignature,
     gc_eval,
+    gc_identity,
     gc_inv,
     gc_is_identity,
     gc_mul,
@@ -137,3 +142,74 @@ class TestElementResidue:
                 assert gc_mul(c, x, y) == fresh
                 assert gc_mul(c, x, y)._pair == fresh._pair
             assert gc_mul(c, g, h2) == gc_mul(c, g2, h) == gc_mul(c, g2, h2)
+
+    def test_translation_is_built_on_first_read(self):
+        rng = random.Random(1206)
+        for c in signatures(rng, 10):
+            g, h = random_element(rng, c), random_element(rng, c)
+            products = [gc_mul(c, g, h), gc_inv(c, g), gc_pow(c, g, 3)]
+            products.append(gc_mul(c, products[0], products[1]))
+            for computed in products:
+                assert "translation" not in vars(computed)
+                assert computed.is_identity == (computed.shift == 0 and not any(computed._pair[0]))
+                assert "translation" not in vars(computed)
+                built = GcElement(computed.translation, computed.shift)
+                assert "translation" in vars(computed)
+                assert computed.translation == built.translation
+                assert [type(x) for x in computed.translation] == [type(x) for x in built.translation]
+
+    def test_equality_and_hash_across_builds(self):
+        rng = random.Random(1207)
+        for c in signatures(rng, 10):
+            g, h = random_element(rng, c), random_element(rng, c)
+            computed = gc_mul(c, g, h)
+            built = GcElement(computed.translation, computed.shift)
+            fresh = gc_mul(c, g, h)  # translation not read yet
+            assert fresh == built and built == fresh and hash(fresh) == hash(built)
+            moved = GcElement(computed.translation, computed.shift + 1)
+            assert fresh != moved and moved != fresh
+            nudged = GcElement((computed.translation[0] + Fraction(1, 3),) + computed.translation[1:], computed.shift)
+            assert gc_mul(c, g, h) != nudged and nudged != gc_mul(c, g, h)
+            for other in (computed.translation, (computed.translation, computed.shift), 0, None):
+                assert computed.__eq__(other) is NotImplemented and built.__eq__(other) is NotImplemented
+                assert computed != other and built != other
+
+    def test_pickle_and_copy_round_trip(self):
+        rng = random.Random(1208)
+        for c in signatures(rng, 4):
+            g, h = random_element(rng, c), random_element(rng, c)
+            read = gc_mul(c, g, h)
+            read.translation
+            for element in (gc_mul(c, g, h), read, g):
+                copies = [copy.copy(element), copy.deepcopy(element)]
+                copies += [pickle.loads(pickle.dumps(element, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+                for twin in copies:
+                    assert type(twin) is GcElement
+                    assert twin == element and hash(twin) == hash(element) and repr(twin) == repr(element)
+                    assert twin._pair == element._pair and twin.shift == element.shift
+
+    def test_wrong_length_message_is_unchanged(self):
+        c, wide = GcSignature((2, -1)), GcSignature((1, 0, 1))
+        message = "element has translation length 2, signature expects 1"
+        for element in (GcElement((0, 0), 0), gc_mul(wide, gc_eval(wide, "b a"), gc_eval(wide, "a b"))):
+            with pytest.raises(ValueError) as caught:
+                gc_mul(c, gc_identity(c), element)
+            assert str(caught.value) == message
+            with pytest.raises(ValueError) as caught:
+                gc_inv(c, element)
+            assert str(caught.value) == message
+
+    def test_reversed_signature_is_built_once_and_unchecked(self, monkeypatch):
+        c = GcSignature((-3, 0, 5, -2))
+        assert c._reversed is c._reversed and c._reversed == GcSignature((-2, 5, 0, -3))
+        # every signature checked during a harness run is one the harness built
+        checked = GcSignature.__post_init__
+        callers = []
+
+        def recording(self):
+            callers.append(sys._getframe(2).f_globals["__name__"])
+            checked(self)
+
+        monkeypatch.setattr(GcSignature, "__post_init__", recording)
+        verify.run_all(3)
+        assert callers and set(callers) == {"solvkit.verify"}
