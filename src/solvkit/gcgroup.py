@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .linalg import (
@@ -27,6 +26,7 @@ from .linalg import (
     Matrix,
     Scalar,
     exact_scalar,
+    scalar_from_str,
     solve_integer_system,
 )
 from .words import GeneratorWord, parse_word
@@ -62,14 +62,6 @@ class GcSignature:
     def s(self) -> int:
         return len(self.coeffs) - 1
 
-    @cached_property
-    def _reversed(self) -> "GcSignature":
-        """``c`` with its coefficients reversed, built once and unchecked:
-        the reversal of a valid signature is valid."""
-        rev = object.__new__(GcSignature)
-        rev.__dict__["coeffs"] = self.coeffs[::-1]
-        return rev
-
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.coeffs)
 
@@ -95,10 +87,9 @@ class GcElement:
     ``v`` is also kept as its canonical residue pair ``_pair``, which is no
     field, so ``hash``, ``repr`` and ``fields`` see only ``(v, k)``; ``==``
     and ``is_identity`` read ``(k, _pair)``, which says the same, as each
-    residue has one canonical pair.  Products and inverses store only the
-    shift and the pair they computed, skip the scalar checks, and build
-    ``translation`` from the pair on first read; an element built here
-    derives the pair from ``v`` when first read.
+    residue has one canonical pair.  Every element the library computes
+    stores only its shift and pair, skips the scalar checks, and builds
+    ``translation`` from the pair on first read.
     """
 
     translation: tuple[Scalar, ...]
@@ -109,24 +100,19 @@ class GcElement:
         object.__setattr__(self, "translation", cleaned)
         if isinstance(self.shift, bool) or not isinstance(self.shift, int):
             raise TypeError("shift must be an integer")
+        self.__dict__["_pair"] = _residue(cleaned)
 
     def __getattr__(self, name):
-        # Only reached while an element made by ``_element`` has no
-        # translation yet.
-        pair = self.__dict__.get("_pair") if name == "translation" else None
-        if pair is None:
+        # Only reached while an element made by ``_element`` has no translation yet.
+        if name != "translation":
             raise AttributeError(name)
-        translation = self.__dict__["translation"] = _scalars(*pair)
+        translation = self.__dict__["translation"] = _scalars(*self._pair)
         return translation
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.shift == other.shift and self._pair == other._pair
-
-    @cached_property
-    def _pair(self):
-        return _residue(self.translation)
 
     @property
     def is_identity(self) -> bool:
@@ -165,16 +151,17 @@ def companion_action(c: GcSignature) -> Matrix:
     return Matrix(rows)
 
 
-def _reduce(c: GcSignature, nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """``(sum_j nums[j] x^j) / den mod c`` as ``s`` integer numerators over
-    one denominator, by cancelling the top terms against ``c``.  No gcd is
-    taken, so the pair need not be in lowest terms, and its denominator is
-    negative when an odd number of steps scaled by a negative ``c_s``;
-    :func:`_canonical` gives the one pair of each residue."""
+def _reduce(c: GcSignature, nums: Sequence[int], den: int, low: int = 0):
+    """``(sum_j nums[j] x^(j + low)) / den mod c``, for ``low <= 0``, as
+    ``s`` integer numerators over one denominator: terms of degree ``s`` and
+    up are cancelled against ``c_s``, and terms below ``x^0`` against ``c_0``.
+    No gcd is taken, so the pair need not be in lowest terms, and its
+    denominator is negative when an odd number of steps scaled by a negative
+    ``c_s`` or ``c_0``; :func:`_canonical` gives the one pair of each residue."""
     coeffs, s, nums = c.coeffs, c.s, list(nums)
-    lead, low = coeffs[s], coeffs[:s]
-    for top in range(len(nums) - 1, s - 1, -1):
-        # Cancel the top term with x^(top-s) c, scaling by c_s unless it divides.
+    lead, tail = coeffs[s], coeffs[0]
+    for _ in range(len(nums) - s + low):
+        # Cancel the top term with a multiple of c, scaling by c_s unless it divides.
         q = nums.pop()
         if not q:
             continue
@@ -182,8 +169,18 @@ def _reduce(c: GcSignature, nums: Sequence[int], den: int) -> tuple[tuple[int, .
             nums, den = [lead * x for x in nums], den * lead
         else:
             q //= lead
-        nums[top - s : top] = [x - q * y for x, y in zip(nums[top - s : top], low)]
-    nums += [0] * (s - len(nums))
+        nums[-s:] = [x - q * y for x, y in zip(nums[-s:], coeffs)]
+    nums += [0] * (s - low - len(nums))
+    for _ in range(-low):
+        # Cancel the bottom term likewise, scaling by c_0 unless it divides.
+        q = nums.pop(0)
+        if not q:
+            continue
+        if q % tail:
+            nums, den = [tail * x for x in nums], den * tail
+        else:
+            q //= tail
+        nums[:s] = [x - q * y for x, y in zip(nums, coeffs[1:])]
     return tuple(nums), den
 
 
@@ -236,24 +233,20 @@ def _times_x_power(c: GcSignature, r, k: int):
 def _shift_add(c: GcSignature, r, k: int, v):
     """``r x^k + v`` for residues ``r`` and ``v``; a zero ``r`` gives ``v``.
 
-    For ``|k| <= STEP_LIMIT`` the sum ``p x^k dq + q dp`` over ``dp dq`` is
-    built at once and :func:`_reduce` cancels it in one pass, one top term
-    per power of ``x``.  Negative ``k`` runs the same on reversed numerators
-    against reversed ``c``: ``p x^-1 = q mod c`` exactly when
-    ``x^(s-1) p(1/x) x = x^(s-1) q(1/x)`` modulo the reversal of ``c``.
-    Longer shifts first go through :func:`_times_x_power`."""
+    For ``|k| <= STEP_LIMIT`` the Laurent polynomial ``p x^k dq + q dp``
+    over ``dp dq`` is built at once, for either sign of ``k``, and
+    :func:`_reduce` cancels it in one pass, one term per power of ``x``
+    outside ``1 .. x^(s-1)``.  Longer shifts first go through
+    :func:`_times_x_power`."""
     (p, dp), (q, dq) = r, v
     if not any(p):
         return v
     if abs(k) > STEP_LIMIT:
         (p, dp), k = _times_x_power(c, r, k), 0
-    flip = k < 0
-    if flip:
-        c, p, q, k = c._reversed, p[::-1], q[::-1], -k
-    nums = [0] * k + [x * dq for x in p]
-    nums[: c.s] = [x + y * dp for x, y in zip(nums, q)]
-    nums, den = _reduce(c, nums, dp * dq)
-    return (nums[::-1], den) if flip else (nums, den)
+    low = min(k, 0)
+    nums = [0] * (k - low) + [x * dq for x in p] + [0] * -low
+    nums[-low : c.s - low] = [x + y * dp for x, y in zip(nums[-low:], q)]
+    return _reduce(c, nums, dp * dq, low)
 
 
 def _residue(translation: Sequence[Scalar]):
@@ -280,7 +273,7 @@ def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
 
 
 def gc_identity(c: GcSignature) -> GcElement:
-    return GcElement((0,) * c.s, 0)
+    return _element(((0,) * c.s, 1), 0)
 
 
 def _require_same_signature(c: GcSignature, element: GcElement):
@@ -340,10 +333,10 @@ def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
     return residue, low
 
 
-def _lamp_value(c: GcSignature, lamps: dict[int, int]) -> tuple[Scalar, ...]:
-    """``sum_p lamps[p] x^p mod c`` as scalars."""
+def _lamp_pair(c: GcSignature, lamps: dict[int, int]):
+    """``sum_p lamps[p] x^p mod c`` as its canonical pair."""
     residue, low = _lamp_residue(c, lamps)
-    return _scalars(*_times_x_power(c, residue, low))
+    return _canonical(_times_x_power(c, residue, low))
 
 
 def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
@@ -355,7 +348,7 @@ def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
     if isinstance(word, str):
         word = parse_word(word)
     lamps, shift = word_lamps(word)
-    return GcElement(_lamp_value(c, lamps), shift)
+    return _element(_lamp_pair(c, lamps), shift)
 
 
 def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
@@ -554,7 +547,7 @@ def base_membership(
             witness = tuple(
                 (power, coeff) for power, coeff in zip(powers, solution) if coeff
             )
-            if _lamp_value(c, dict(witness)) != target:
+            if _lamp_pair(c, dict(witness)) != (target_nums, target_den):
                 raise ArithmeticError("membership witness certificate failed")
             return MembershipResult(witness=witness)
     return MembershipResult(witness=None)
@@ -619,5 +612,5 @@ def element_to_json(element: GcElement) -> dict:
 
 
 def element_from_json(obj: dict) -> GcElement:
-    translation = tuple(Fraction(x) for x in obj["translation"])
+    translation = tuple(scalar_from_str(x) for x in obj["translation"])
     return GcElement(translation, int(obj["shift"]))

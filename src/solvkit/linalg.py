@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,11 +43,15 @@ def exact_scalar(value) -> Scalar:
 
 
 def scalar_from_str(text) -> Scalar:
-    """Parse ``"5"``, ``"-3"`` or ``"p/q"`` back into an exact scalar."""
+    """Parse ``"5"``, ``"-3"``, ``"p/q"`` or ``"1e-5"`` back into an exact scalar."""
     if isinstance(text, int) and not isinstance(text, bool):
         return text
     if not isinstance(text, str):
         raise TypeError(f"expected a decimal string, got {type(text).__name__}")
+    # Fraction builds 10**exponent, so a power over the digit limit is refused first.
+    exponent = re.fullmatch(r"\s*[-+]?[\d_.]*e([-+]?\d+(_\d+)*)\s*", text, re.I)
+    if exponent and abs(int(exponent[1])) > (limit := sys.get_int_max_str_digits()) > 0:
+        raise ValueError(f"a number is over the limit of {limit} decimal digits")
     try:
         return exact_scalar(Fraction(text))
     except ZeroDivisionError as exc:

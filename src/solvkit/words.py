@@ -91,7 +91,7 @@ def parse_word(text: str) -> GeneratorWord:
                 sign = -1
                 i += 1
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if i == start:
                 raise WordParseError("exponent must have at least one digit", i + 1)

@@ -261,6 +261,18 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "gc", "eval", "--c", "2,-1")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("command", ["gc", "snf"])
+    def test_huge_exponent_notation_is_refused_promptly(self, command, tmp_path):
+        # Fraction("1e1000000000") would build 10**1000000000.
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [["1e1000000000"]]}')
+        args = {"gc": ["gc", "member", "--c", "2,-1", "--v", "1e100000000"],
+                "snf": ["snf", "--in", str(path)]}[command]
+        result = subprocess.run([sys.executable, "-m", "solvkit", *args],
+                                capture_output=True, timeout=5)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"solvkit: a number is over the limit of 4300 decimal digits\n"
+
     def test_huge_pure_shift_evaluates_promptly(self):
         # A pure shift lights no lamp, so no power of the action is formed.
         command = [sys.executable, "-m", "solvkit", "gc", "eval", "--c", "2,-1",

@@ -509,3 +509,8 @@ class TestJson:
             scalar_from_str(1.5)
         with pytest.raises(ValueError):
             scalar_from_str("1/0")
+        assert scalar_from_str("-.5") == Fraction(-1, 2) and scalar_from_str("1e5") == 10**5
+        assert scalar_from_str(" 1E-4_300 ") == Fraction(1, 10**4300)
+        for text in ["1e4301", "-2.5E-4301", "0e99999"]:
+            with pytest.raises(ValueError, match="over the limit of 4300 decimal digits"):
+                scalar_from_str(text)

@@ -28,8 +28,9 @@ from solvkit.verify import defining_relator_word, random_signature, random_word
 from solvkit.words import GeneratorWord
 from solvkit.wreath import word_lamps
 
-# c_s < 0 makes the cancellation scale by a negative leading coefficient,
-# and c_0 < 0 does the same for negative shifts, which run against reversed c.
+# c_s < 0 makes the cancellation of high terms scale by a negative
+# coefficient, and c_0 < 0 does the same for the terms below x^0 that
+# negative shifts make.
 SIGNED = [(2, -3), (-2, 3), (-2, -3), (3, 1, -2), (-3, 0, 5, -2), (-5, 2, 7), (2, 1, 0, -1, -3)]
 
 
@@ -147,8 +148,9 @@ class TestElementResidue:
         rng = random.Random(1206)
         for c in signatures(rng, 10):
             g, h = random_element(rng, c), random_element(rng, c)
-            products = [gc_mul(c, g, h), gc_inv(c, g), gc_pow(c, g, 3)]
+            products = [gc_mul(c, g, h), gc_inv(c, g), gc_pow(c, g, 3), gc_identity(c)]
             products.append(gc_mul(c, products[0], products[1]))
+            products += [gc_eval(c, word) for word in words_with_conjugated_relators(rng, c, 3)]
             for computed in products:
                 assert "translation" not in vars(computed)
                 assert computed.is_identity == (computed.shift == 0 and not any(computed._pair[0]))
@@ -199,9 +201,7 @@ class TestElementResidue:
                 gc_inv(c, element)
             assert str(caught.value) == message
 
-    def test_reversed_signature_is_built_once_and_unchecked(self, monkeypatch):
-        c = GcSignature((-3, 0, 5, -2))
-        assert c._reversed is c._reversed and c._reversed == GcSignature((-2, 5, 0, -3))
+    def test_harness_checks_only_the_signatures_it_builds(self, monkeypatch):
         # every signature checked during a harness run is one the harness built
         checked = GcSignature.__post_init__
         callers = []

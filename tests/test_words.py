@@ -39,6 +39,14 @@ class TestParse:
     def test_multidigit_exponents(self):
         assert parse_word("a^12 b^-34").letters == (("a", 12), ("b", -34))
 
+    def test_exponent_digits_are_decimal_digits(self):
+        # '²' is a digit to str.isdigit, but int() rejects it
+        for text, column in [("b^²", 3), ("b^1²", 4)]:
+            with pytest.raises(WordParseError) as info:
+                parse_word(text)
+            assert info.value.column == column
+        assert parse_word("b^-٣").letters == (("b", -3),)
+
     def test_adjacent_merge_and_cascade(self):
         assert parse_word("a a").letters == (("a", 2),)
         assert parse_word("a b b^-1 a").letters == (("a", 2),)
