@@ -52,8 +52,11 @@ def _signature(args) -> gcgroup.GcSignature:
 
 
 def _load_matrix(path: str) -> linalg.Matrix:
-    with open(path, encoding="utf-8") as handle:
-        return linalg.matrix_from_json(json.load(handle))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return linalg.matrix_from_json(json.load(handle))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_gc_eval(args):

@@ -4,14 +4,15 @@ A signature ``c = (c_0, ..., c_s)`` with ``c_0, c_s != 0`` and
 ``gcd(c) = 1`` determines a two-generator group: the stable letter ``a``
 conjugates the base generator ``b`` through the family ``b_i = b^(a^i)``,
 the ``b_i`` commute, and the single relation
-``b_0^{c_0} b_1^{c_1} ... b_s^{c_s} = 1`` ties the family together.  The
-group embeds faithfully in ``Q^s x| Z``: ``b`` becomes the first basis
-vector of ``Q^s``, and ``a`` acts as the companion-shaped matrix ``A`` of
-:func:`companion_action`: multiplication by ``x`` on ``Q[x]/(c)`` in the
-basis ``1, ..., x^{s-1}``.  So ``e_1 A^i = x^i mod c``, evaluation is the
-``Z wr Z`` lamp polynomial reduced modulo ``c``, and all arithmetic below
-runs on these residues (integer numerators over one denominator);
-``companion_action`` and ``linalg.mat_pow`` stay as API and test oracle.
+``b_0^{c_0} b_1^{c_1} ... b_s^{c_s} = 1`` ties the family together.  With
+``c`` read as the polynomial ``c_0 + c_1 x + ... + c_s x^s``, the group
+embeds faithfully in ``Z[x, 1/x]/(c) x| Z``: an element is a pair
+``(v, k)`` of a residue and a shift, multiplied by
+``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``, with ``b = (1, 0)`` and
+``a = (0, 1)``, so ``b_i = (x^i, 0)``.  Evaluating a word is evaluating it
+in ``Z wr Z`` and reading its lamp polynomial modulo ``c``.  A residue is
+kept as ``s`` integer numerators over one denominator, its coefficients on
+``1, x, ..., x^(s-1)``, and all arithmetic below runs on these pairs.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ def parse_signature(text: str) -> GcSignature:
 
 @dataclass(frozen=True)
 class GcElement:
-    """Group element in the faithful model: rational row vector plus shift.
+    """Group element ``(v, k)``: a residue ``v`` of ``Z[x, 1/x]/(c)`` and a shift.
 
+    ``translation`` holds the coefficients of ``v`` on ``1, ..., x^(s-1)``.
     ``(v, k)`` stands for "k steps of the stable letter, then translate by
-    v"; the product rule is ``(v1, k1) (v2, k2) = (v1 A^k2 + v2, k1 + k2)``
-    with ``A`` the companion action.  Chosen so that evaluating
-    ``a^-i b a^i`` yields ``(e_1 A^i, 0)``.
+    v"; the product is ``(v1, k1) (v2, k2) = (v1 x^k2 + v2, k1 + k2)``,
+    chosen so that evaluating ``a^-i b a^i`` yields ``(x^i, 0)``.
 
     ``v`` is also kept as its canonical residue pair ``_pair``, which is no
     field, so ``hash``, ``repr`` and ``fields`` see only ``(v, k)``; ``==``
@@ -143,7 +144,8 @@ def companion_action(c: GcSignature) -> Matrix:
     Acting on row vectors (``v -> v * A``): basis vector ``e_i`` maps to
     ``e_{i+1}`` for ``i < s``, and ``e_s`` maps to
     ``(-c_0/c_s, ..., -c_{s-1}/c_s)``.  Its characteristic polynomial is
-    ``(c_0 + c_1 x + ... + c_s x^s) / c_s`` up to sign.
+    ``(c_0 + c_1 x + ... + c_s x^s) / c_s`` up to sign: multiplication by
+    ``x`` on ``Q[x]/(c)``, kept as API and as the residue core's test oracle.
     """
     s = c.s
     rows = [[int(j == i + 1) for j in range(s)] for i in range(s - 1)]
@@ -203,10 +205,11 @@ def _mul(c: GcSignature, a, b):
 
 
 def _times_x_power(c: GcSignature, r, k: int):
-    """``r x^k mod c``.  Up to ``STEP_LIMIT`` steps this is
-    :func:`_shift_add` with nothing added.  Beyond the limit, ``r`` is
-    multiplied by square-and-multiply from the one-step base ``x^(+-1)``;
-    a zero residue is returned as it is.
+    """``r x^k mod c``; a zero residue is returned as it is.  Up to
+    ``STEP_LIMIT`` steps, :func:`_reduce` cancels the Laurent polynomial
+    ``p x^k`` in one pass, for either sign of ``k``.  Beyond the limit,
+    ``r`` is multiplied by square-and-multiply from the one-step base
+    ``x^(+-1)``, which this short branch gives.
 
     Unless every root of ``c`` is a root of unity, ``x^k`` has about
     ``|k|`` bits, so a huge ``k`` would never finish: ``ValueError`` is
@@ -216,7 +219,7 @@ def _times_x_power(c: GcSignature, r, k: int):
     if not any(r[0]):
         return r
     if abs(k) <= STEP_LIMIT:
-        return _shift_add(c, r, k, ((0,) * c.s, 1))
+        return _reduce(c, [0] * max(k, 0) + list(r[0]), r[1], min(k, 0))
     base, n = _canonical(_times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1)), abs(k)
     while n:
         if n & 1:
@@ -232,21 +235,12 @@ def _times_x_power(c: GcSignature, r, k: int):
 
 def _shift_add(c: GcSignature, r, k: int, v):
     """``r x^k + v`` for residues ``r`` and ``v``; a zero ``r`` gives ``v``.
-
-    For ``|k| <= STEP_LIMIT`` the Laurent polynomial ``p x^k dq + q dp``
-    over ``dp dq`` is built at once, for either sign of ``k``, and
-    :func:`_reduce` cancels it in one pass, one term per power of ``x``
-    outside ``1 .. x^(s-1)``.  Longer shifts first go through
-    :func:`_times_x_power`."""
-    (p, dp), (q, dq) = r, v
-    if not any(p):
+    The shift is :func:`_times_x_power`'s, and the sum of ``p / dp`` and
+    ``q / dq`` is ``p dq + q dp`` over ``dp dq``, which needs no cancelling."""
+    if not any(r[0]):
         return v
-    if abs(k) > STEP_LIMIT:
-        (p, dp), k = _times_x_power(c, r, k), 0
-    low = min(k, 0)
-    nums = [0] * (k - low) + [x * dq for x in p] + [0] * -low
-    nums[-low : c.s - low] = [x + y * dp for x, y in zip(nums[-low:], q)]
-    return _reduce(c, nums, dp * dq, low)
+    (p, dp), (q, dq) = _times_x_power(c, r, k), v
+    return tuple(x * dq + y * dp for x, y in zip(p, q)), dp * dq
 
 
 def _residue(translation: Sequence[Scalar]):
@@ -259,16 +253,16 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 
 
 def _element(pair, shift: int) -> GcElement:
-    """The element with canonical residue ``pair`` and integer ``shift``,
-    which need no check, so ``GcElement.__post_init__`` is skipped; its
-    ``translation`` is built when first read."""
+    """The element of residue ``pair``, in any form, stored canonical, and
+    integer ``shift``, which need no check, so ``GcElement.__post_init__`` is
+    skipped; its ``translation`` is built when first read."""
     element = object.__new__(GcElement)
-    element.__dict__.update(shift=shift, _pair=pair)
+    element.__dict__.update(shift=shift, _pair=_canonical(pair))
     return element
 
 
 def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
-    """``e_1 * A^i = x^i mod c``, the model image of the conjugate ``b_i``."""
+    """The coefficients of ``x^i mod c``, the model image of the conjugate ``b_i``."""
     return _scalars(*_times_x_power(c, _reduce(c, [1], 1), i))
 
 
@@ -286,17 +280,17 @@ def _require_same_signature(c: GcSignature, element: GcElement):
 
 
 def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
-    """Product in ``Q^s x| Z``: ``(v1, k1)(v2, k2) = (v1 A^k2 + v2, k1+k2)``."""
+    """Product: ``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``."""
     _require_same_signature(c, g)
     _require_same_signature(c, h)
-    return _element(_canonical(_shift_add(c, g._pair, h.shift, h._pair)), g.shift + h.shift)
+    return _element(_shift_add(c, g._pair, h.shift, h._pair), g.shift + h.shift)
 
 
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
-    """Inverse: ``(v, k)^-1 = (-v A^-k, -k)``."""
+    """Inverse: ``(v, k)^-1 = (-v x^-k, -k)``."""
     _require_same_signature(c, g)
-    nums, den = _canonical(_times_x_power(c, g._pair, -g.shift))
-    return _element((tuple(-x for x in nums), den), -g.shift)
+    nums, den = _times_x_power(c, g._pair, -g.shift)
+    return _element((nums, -den), -g.shift)
 
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
@@ -333,22 +327,16 @@ def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
     return residue, low
 
 
-def _lamp_pair(c: GcSignature, lamps: dict[int, int]):
-    """``sum_p lamps[p] x^p mod c`` as its canonical pair."""
-    residue, low = _lamp_residue(c, lamps)
-    return _canonical(_times_x_power(c, residue, low))
-
-
 def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
     """Evaluate a word in ``a`` and ``b`` to its model element.
 
-    ``a`` maps to the pure shift ``(0, 1)`` and ``b`` to ``(e_1, 0)``; the
-    empty word is the identity.  The translation is the lamp polynomial modulo ``c``.
+    ``a`` maps to the pure shift ``(0, 1)`` and ``b`` to ``(1, 0)``; the
+    empty word is the identity.  The residue is the lamp polynomial modulo ``c``.
     """
     if isinstance(word, str):
         word = parse_word(word)
     lamps, shift = word_lamps(word)
-    return _element(_lamp_pair(c, lamps), shift)
+    return _element(_times_x_power(c, *_lamp_residue(c, lamps)), shift)
 
 
 def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
@@ -368,20 +356,17 @@ def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
 def relator_check(c: GcSignature) -> bool:
     """Verify the defining relations hold in the model.
 
-    Checks the coefficient relation ``sum_i c_i (e_1 A^i) = 0`` and that
-    the conjugate generators ``b_i`` commute (their model images are pure
-    translations).  Returns True for every valid signature; False would
-    mean the model construction itself is broken.
+    Checks the coefficient relation ``sum_i c_i x^i = 0`` modulo ``c`` and
+    that the conjugate generators ``b_i`` commute (their model images
+    ``(x^i, 0)`` are pure translations).  Returns True for every valid
+    signature; False would mean the model construction itself is broken.
     """
-    if any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0][0]):
-        return False
     one = _reduce(c, [1], 1)
     b0 = _element(one, 0)
-    for i in range(-2, c.s + 2):
-        bi = _element(_canonical(_times_x_power(c, one, i)), 0)
-        if gc_mul(c, b0, bi) != gc_mul(c, bi, b0):
-            return False
-    return True
+    conjugates = (_element(_times_x_power(c, one, i), 0) for i in range(-2, c.s + 2))
+    return not any(_lamp_residue(c, dict(enumerate(c.coeffs)))[0][0]) and all(
+        gc_mul(c, b0, bi) == gc_mul(c, bi, b0) for bi in conjugates
+    )
 
 
 def _totient(n: int) -> int:
@@ -414,8 +399,8 @@ def _divide_monic(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
 def gc_is_proper(c: GcSignature) -> bool:
     """True when the group is not virtually abelian.
 
-    The group is virtually abelian exactly when the companion action has
-    finite order, and by Kronecker's theorem (1857) that holds exactly when
+    The group is virtually abelian exactly when ``x^n = 1 mod c`` for some
+    ``n > 0``, and by Kronecker's theorem (1857) that holds exactly when
     ``c`` is ``+-`` a product of *distinct* cyclotomic polynomials ``Phi_d``.
     Such a product has ``c_0, c_s = +-1`` and is its own reversal up to
     sign, which settles most signatures at once; the rest are divided in
@@ -490,10 +475,10 @@ def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupRe
 class MembershipResult:
     """Outcome of the bounded base-group membership search.
 
-    ``witness`` maps orbit powers to integer coefficients when the vector
-    was expressed as an integer combination of ``e_1 A^i``; ``None`` means
-    the search bound was exhausted, which is *not* a proof of
-    non-membership.
+    ``witness`` maps powers ``i`` to integer coefficients when the vector
+    was expressed as an integer combination of the residues ``x^i mod c``;
+    ``None`` means the search bound was exhausted, which is *not* a proof
+    of non-membership.
     """
 
     witness: tuple[tuple[int, int], ...] | None
@@ -547,7 +532,8 @@ def base_membership(
             witness = tuple(
                 (power, coeff) for power, coeff in zip(powers, solution) if coeff
             )
-            if _lamp_pair(c, dict(witness)) != (target_nums, target_den):
+            found = _canonical(_times_x_power(c, *_lamp_residue(c, dict(witness))))
+            if found != (target_nums, target_den):
                 raise ArithmeticError("membership witness certificate failed")
             return MembershipResult(witness=witness)
     return MembershipResult(witness=None)

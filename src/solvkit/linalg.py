@@ -506,9 +506,14 @@ def matrix_to_json(matrix: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    """Inverse of :func:`matrix_to_json`; validates the declared shape."""
+    """Inverse of :func:`matrix_to_json`; validates the declared shape.
+    ``rows`` and ``cols`` must be JSON integers and ``entries`` a list of
+    JSON arrays, so a string is never read as a row of digits."""
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        shape = (type(rows), type(cols), type(entries))
+        if shape != (int, int, list) or any(type(row) is not list for row in entries):
+            raise TypeError("malformed matrix JSON")
         matrix = Matrix([[scalar_from_str(x) for x in row] for row in entries])
     except (TypeError, KeyError) as exc:
         raise ValueError(

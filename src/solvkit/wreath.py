@@ -3,10 +3,11 @@
 An element is a finitely supported lamp configuration on the integer line
 together with a shift of the lamplighter.  Without a modulus the lamps
 take values in Z; with modulus ``n`` they live in ``C_n`` and every stored
-value is reduced into ``1 .. n-1``.  The support convention is fixed so
-that the conjugate ``b^(a^i)`` (the word ``a^-i b a^i``) lights the single
-lamp at position ``i``, mirroring the coefficient-vector groups where the
-same word lands on ``e_1 A^i``.
+value is reduced into ``1 .. n-1``.  With the lamps ``f`` read as the
+Laurent polynomial ``sum_p f(p) x^p``, the product is ``(f1, t1)(f2, t2)
+= (f1 x^t2 + f2, t1 + t2)``, so the word ``a^-i b a^i`` lights the single
+lamp at ``i``: the rule of the coefficient-vector groups, which read
+``f`` modulo their signature.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ class WreathElement:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
+        if self.modulus is not None and _int_only(self.modulus, "modulus") < 2:
             raise ValueError("modulus must be at least 2 (or None for Z lamps)")
         _int_only(self.shift, "shift")
-        cleaned = _normalize_support(dict(self.support), self.modulus)
-        object.__setattr__(self, "support", cleaned)
+        support = tuple(self.support)
+        values = dict(support)
+        if len(values) != len(support):
+            raise ValueError("lamp positions must be distinct")
+        object.__setattr__(self, "support", _normalize_support(values, self.modulus))
 
     @classmethod
     def from_support(
@@ -67,12 +71,13 @@ def _normalize_support(
     values: Mapping[int, int], modulus: int | None
 ) -> tuple[tuple[int, int], ...]:
     out = []
-    for pos in sorted(values):
+    # sorted() reads every position, so each is checked before any comparison
+    for pos in sorted(_int_only(pos, "lamp position") for pos in values):
         val = _int_only(values[pos], "lamp value")
         if modulus is not None:
             val %= modulus
         if val != 0:
-            out.append((_int_only(pos, "lamp position"), val))
+            out.append((pos, val))
     return tuple(out)
 
 
@@ -84,9 +89,9 @@ def _require_same_modulus(g: WreathElement, h: WreathElement):
 def wr_mul(g: WreathElement, h: WreathElement) -> WreathElement:
     """Product: shift g's lamps by h's shift, then add h's lamps.
 
-    ``(f1, t1)(f2, t2) = (f1 shifted by t2 + f2, t1 + t2)``, the analogue
-    of the coefficient-group rule with the index shift playing the role of
-    the companion action.
+    ``(f1, t1)(f2, t2) = (f1 x^t2 + f2, t1 + t2)`` with the lamps read as
+    Laurent polynomials: the coefficient-group rule before any reduction
+    modulo a signature.
     """
     _require_same_modulus(g, h)
     lamps = {pos + h.shift: val for pos, val in g.support}

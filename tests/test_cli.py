@@ -273,6 +273,23 @@ class TestErrorPaths:
         assert (result.returncode, result.stdout) == (1, b"")
         assert result.stderr == b"solvkit: a number is over the limit of 4300 decimal digits\n"
 
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 2, "entries": ["12"]}',
+        '{"rows": 2, "cols": 1, "entries": "12"}',
+        '{"rows": true, "cols": 1, "entries": [["5"]]}',
+        "[" * 5000 + "]" * 5000,
+        '{"rows": 1, "cols": 1, "entries": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["string-row", "string-entries", "bool-rows", "nested-array", "nested-entries"])
+    @pytest.mark.parametrize("command", ["snf", "minors"])
+    def test_malformed_matrix_file_is_one_line(self, command, text, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        result = subprocess.run([sys.executable, "-m", "solvkit", command, "--in", str(path)],
+                                capture_output=True, timeout=30)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.startswith(b"solvkit: ") and result.stderr.count(b"\n") == 1
+        assert b"Traceback" not in result.stderr
+
     def test_huge_pure_shift_evaluates_promptly(self):
         # A pure shift lights no lamp, so no power of the action is formed.
         command = [sys.executable, "-m", "solvkit", "gc", "eval", "--c", "2,-1",

@@ -13,7 +13,7 @@ import signal
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solvkit.cli import main
 
@@ -173,6 +173,8 @@ matrix_texts = st.one_of(
 
 @FUZZ
 @given(st.sampled_from(["snf", "minors"]), matrix_texts, st.booleans())
+@example("snf", "[" * 5000 + "]" * 5000, False)
+@example("minors", '{"rows": 1, "cols": 2, "entries": ["12"]}', True)
 def test_matrix_files(command, text, json_flag):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "m.json"

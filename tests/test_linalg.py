@@ -502,6 +502,29 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[True, "1"]]})
 
+    def test_rows_must_be_lists(self):
+        # a string is never read as a row of digits, nor a list of them
+        message = "matrix JSON needs 'rows', 'cols' and 'entries' of decimal strings"
+        for obj in [
+            {"rows": 1, "cols": 2, "entries": ["12"]},
+            {"rows": 2, "cols": 1, "entries": "12"},
+            {"rows": 1, "cols": 1, "entries": [("1",)]},
+            {"rows": 2, "cols": 1, "entries": [["1"], "2"]},
+            {"rows": 1, "cols": 1, "entries": {"0": ["1"]}},
+            {"rows": 0, "cols": 0, "entries": None},
+        ]:
+            with pytest.raises(ValueError) as caught:
+                matrix_from_json(obj)
+            assert str(caught.value) == message, obj
+
+    def test_shape_must_be_integers(self):
+        message = "matrix JSON needs 'rows', 'cols' and 'entries' of decimal strings"
+        for rows, cols in [(True, 1), (1, True), (1.0, 1), (1, "1"), (None, 1)]:
+            with pytest.raises(ValueError) as caught:
+                matrix_from_json({"rows": rows, "cols": cols, "entries": [["5"]]})
+            assert str(caught.value) == message, (rows, cols)
+        assert matrix_from_json({"rows": 1, "cols": 1, "entries": [["5"]]}) == Matrix([[5]])
+
     def test_scalar_from_str(self):
         assert scalar_from_str("-7") == -7
         assert scalar_from_str("3/6") == Fraction(1, 2)

@@ -13,6 +13,7 @@ import residue_reference as ref
 
 from solvkit import verify
 from solvkit.gcgroup import (
+    RESIDUE_BITS_BUDGET,
     STEP_LIMIT,
     GcElement,
     GcSignature,
@@ -23,7 +24,7 @@ from solvkit.gcgroup import (
     gc_mul,
     gc_pow,
 )
-from solvkit.gcgroup import _canonical, _lamp_residue, _residue, _shift_add, _times_x_power
+from solvkit.gcgroup import _canonical, _element, _lamp_residue, _residue, _shift_add, _times_x_power
 from solvkit.verify import defining_relator_word, random_signature, random_word
 from solvkit.words import GeneratorWord
 from solvkit.wreath import word_lamps
@@ -108,6 +109,29 @@ class TestAgainstEagerReference:
                 assert gc_pow(c, g, n) == folded, (c, g, n)
 
 
+class TestResidueBudget:
+    # (c, the shifts that answer, the shifts that are refused): the last
+    # squared base of x^k has about |k| log2|root| bits, so each edge sits
+    # where the next squaring would pass RESIDUE_BITS_BUDGET bits.
+    EDGES = [
+        ((2, -1), [2**20 - 1], [2**20]),
+        ((-2, 3), [2**19 - 1, -(2**19 - 1)], [2**19, -(2**19)]),
+        ((1, 3, -2), [2**18 - 1, -(2**19 - 1)], [2**18, -(2**19)]),
+    ]
+
+    @pytest.mark.parametrize("coeffs, answered, refused", EDGES, ids=["2,-1", "-2,3", "1,3,-2"])
+    def test_edges(self, coeffs, answered, refused):
+        assert RESIDUE_BITS_BUDGET == 2**20
+        c = GcSignature(coeffs)
+        one = ((1,) + (0,) * (c.s - 1), 1)
+        for k in answered:
+            assert _canonical(_times_x_power(c, one, k)) == ref._times_x_power(c, one, k), k
+        for k in refused:
+            with pytest.raises(ValueError) as caught:
+                _times_x_power(c, one, k)
+            assert str(caught.value) == f"x^{k} mod c needs more than 1048576 bits"
+
+
 class TestElementResidue:
     def test_fields_equality_hash_and_repr(self):
         assert [f.name for f in dataclasses.fields(GcElement)] == ["translation", "shift"]
@@ -120,6 +144,17 @@ class TestElementResidue:
                 assert repr(computed) == repr(built)
                 assert [type(x) for x in computed.translation] == [type(x) for x in built.translation]
                 assert computed._pair == built._pair == _residue(built.translation)
+
+    def test_element_stores_the_canonical_pair_of_any_form(self):
+        rng = random.Random(1209)
+        for c in signatures(rng, 10):
+            for _ in range(5):
+                pair, scaled = random_residues(rng, c.s)
+                shift = rng.randint(-5, 5)
+                element = _element(scaled, shift)
+                assert element._pair == pair and element.shift == shift
+                assert element == GcElement(tuple(Fraction(x, pair[1]) for x in pair[0]), shift)
+        assert _element(((0, 0), -7), 0)._pair == ((0, 0), 1)
 
     def test_constructor_checks_are_unchanged(self):
         for bad in [(True, 0), (0.5, 1), ("1", 0)]:

@@ -1,9 +1,12 @@
+import argparse
 import ast
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from solvkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "solvkit").glob("*.py"))
@@ -135,3 +138,33 @@ def test_bench_pairs_summary_on_canned_runs():
     assert record["change_over_parent_median"]["wall_s"] == round(1.9 / 2.2, 4)
     assert record["runs"]["change"]["wall_s"] == [1.9, 2.4, 1.8, 1.7, 2.2]
     assert record["runs"]["parent"]["ops_per_s"] == [round(6 / w, 6) for w in (2.0, 2.4, 2.1, 2.2, 2.3)]
+
+
+def test_same_answers_corpus_is_seeded_and_covers_every_command():
+    # The corpus of tools/same_answers.py, built without exporting or running
+    # any revision.
+    spec = importlib.util.spec_from_file_location("same_answers", ROOT / "tools" / "same_answers.py")
+    same_answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_answers)
+    calls, files = same_answers.corpus(3)
+    assert (calls, files) == same_answers.corpus(3)
+    assert calls != same_answers.corpus(4)[0]
+    assert all(isinstance(arg, str) for argv in calls for arg in argv)
+
+    def leaves(parser, path=()):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            return [path]
+        return [leaf for a in subparsers for name, sub in a.choices.items()
+                for leaf in leaves(sub, path + (name,))]
+
+    commands = leaves(cli._build_parser())
+    assert len(commands) == 14
+    for command in commands:
+        used = [argv for argv in calls if tuple(argv[: len(command)]) == command]
+        assert any("--json" in argv for argv in used), command
+        assert any("--json" not in argv for argv in used), command
+    read = {argv[argv.index("--in") + 1] for argv in calls if "--in" in argv}
+    assert set(files) <= read and len(read - set(files)) == 1
+    seeds = {argv[3] for argv in calls if argv[:3] == ["verify", "all", "--seed"]}
+    assert {"0", "7"} <= seeds

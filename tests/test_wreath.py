@@ -49,6 +49,26 @@ class TestConstruction:
         g = WreathElement.from_support({3: 1, -2: 1, 0: 4}, 1)
         assert g.positions == (-2, 0, 3)
 
+    def test_modulus_must_be_an_integer(self):
+        for modulus in (2.5, 3.0, True, "3"):
+            with pytest.raises(TypeError, match="modulus must be an integer"):
+                WreathElement.from_support({0: 3}, 0, modulus)
+        assert WreathElement.from_support({0: 3}, 0, 2).support == ((0, 1),)
+
+    def test_every_position_is_checked_before_the_sort(self):
+        # zero-valued lamps are dropped, but their positions are still checked
+        for lamps in ({0: 1, "a": 1}, {"a": 1, 0: 1}, {1.5: 0}, {0: 1, None: 0}, {(0,): 2}):
+            with pytest.raises(TypeError, match="lamp position must be an integer"):
+                WreathElement.from_support(lamps, 0)
+        with pytest.raises(TypeError, match="lamp position must be an integer"):
+            WreathElement(((0, 1), ("a", 0)), 0, 3)
+
+    def test_repeated_position_is_refused(self):
+        for support in (((0, 1), (0, 2)), ((3, 1), (-1, 4), (3, 1)), ((2, 0), (2, 0))):
+            with pytest.raises(ValueError, match="lamp positions must be distinct"):
+                WreathElement(support, 0)
+        assert WreathElement(((0, 1), (1, 2)), 0).support == ((0, 1), (1, 2))
+
 
 class TestMultiplication:
     def test_identity_neutral(self):
