@@ -81,6 +81,18 @@ def _normalize_support(
     return tuple(out)
 
 
+def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathElement:
+    """The element of ``lamps``, reduced modulo ``modulus``, zero-free and
+    sorted, and ``shift``.  Products of checked elements need no check, so
+    ``__post_init__`` is skipped."""
+    if modulus is not None:
+        lamps = {pos: val % modulus for pos, val in lamps.items()}
+    element = object.__new__(WreathElement)
+    support = tuple(sorted(item for item in lamps.items() if item[1]))
+    element.__dict__.update(support=support, shift=shift, modulus=modulus)
+    return element
+
+
 def _require_same_modulus(g: WreathElement, h: WreathElement):
     if g.modulus != h.modulus:
         raise ValueError(f"modulus mismatch: {g.modulus} vs {h.modulus}")
@@ -97,12 +109,12 @@ def wr_mul(g: WreathElement, h: WreathElement) -> WreathElement:
     lamps = {pos + h.shift: val for pos, val in g.support}
     for pos, val in h.support:
         lamps[pos] = lamps.get(pos, 0) + val
-    return WreathElement.from_support(lamps, g.shift + h.shift, g.modulus)
+    return _element(lamps, g.shift + h.shift, g.modulus)
 
 
 def wr_inv(g: WreathElement) -> WreathElement:
     lamps = {pos - g.shift: -val for pos, val in g.support}
-    return WreathElement.from_support(lamps, -g.shift, g.modulus)
+    return _element(lamps, -g.shift, g.modulus)
 
 
 def wr_pow(g: WreathElement, n: int) -> WreathElement:

@@ -1,7 +1,17 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solvkit.words import GeneratorWord, WordParseError, format_word, parse_word
+from word_reference import reference_letters
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HUGE = "7" * 4301  # one digit over Python's default limit for int(str)
 
 
 class TestParse:
@@ -65,6 +75,82 @@ class TestWordAlgebra:
     def test_from_letters_rejects_unknown(self):
         with pytest.raises(ValueError):
             GeneratorWord.from_letters([("x", 1)])
+
+    def test_from_letters_takes_only_int_exponents(self):
+        for exp, name in [(1.5, "float"), (2.0, "float"), ("1", "str"), (True, "bool"),
+                          (False, "bool"), (None, "NoneType")]:
+            with pytest.raises(TypeError, match=f"exponent must be an integer, got {name}$"):
+                GeneratorWord.from_letters([("a", exp), ("b", 1)])
+            with pytest.raises(TypeError, match="exponent must be an integer"):
+                GeneratorWord.from_letters([("b", 1), ("a", 0), ("a", exp)])
+        assert GeneratorWord.from_letters([["a", 2], ("b", 0), ("a", -1)]).letters == (("a", 1),)
+
+
+def _outcome(parse, text):
+    try:
+        return "word", parse(text)
+    except WordParseError as exc:
+        return "WordParseError", str(exc), exc.column
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _random_text(rng: random.Random) -> str:
+    """Terms, stray characters and separators in any order, often with no
+    space between them."""
+    digits = "0123456789" * 3 + "٣０𝟗²"
+    spaces = " \t\n\x1c\x85\xa0\u3000"
+    pieces = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.5:
+            exponent = "".join(rng.choice(digits) for _ in range(rng.choice([0, 1, 1, 2, 3])))
+            caret = rng.choice(["", "^", "^", "^-"])
+            pieces.append(rng.choice("ab") + (caret + exponent if caret else ""))
+        elif kind < 0.75:
+            pieces.append(rng.choice(spaces))
+        elif kind < 0.97:
+            pieces.append(rng.choice("ab^-x" + digits + spaces))
+        else:
+            pieces.append(rng.choice("ab") + "^" + rng.choice(["", "-"]) + HUGE)
+    return "".join(pieces)
+
+
+def test_parse_matches_the_character_loop():
+    rng = random.Random(1515)
+    texts = [_random_text(rng) for _ in range(20000)]
+    texts += [f"a^{HUGE} x", f"x a^{HUGE}", f"a^-{HUGE}b^", f"b^ a^{HUGE}", f"a^{HUGE}x",
+              f"b a^{HUGE} a^{HUGE}", f"a^2 a^{HUGE[:4300]} b^-{HUGE[:4300]}"]
+    outcomes = set()
+    for text in texts:
+        new = _outcome(lambda t: parse_word(t).letters, text)
+        assert new == _outcome(reference_letters, text), repr(text[:80])
+        outcomes.add(new[0])
+    assert outcomes == {"word", "WordParseError", "ValueError"}
+
+
+def test_first_error_is_the_leftmost_for_every_hash_seed():
+    # Distinct terms are taken in order of first appearance, so which error
+    # wins does not depend on string hashing.
+    script = (
+        "from solvkit.words import parse_word\n"
+        "for text in ['a^' + '7' * 4301 + ' x', 'x a^' + '7' * 4301, 'b^² a^' + '7' * 4301]:\n"
+        "    try:\n"
+        "        parse_word(text)\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__, str(exc)[:40])\n"
+    )
+    expected = (
+        "ValueError Exceeds the limit (4300 digits) for inte\n"
+        "WordParseError unknown letter 'x' (column 1)\n"
+        "WordParseError exponent must have at least one digit (c\n"
+    )
+    for hash_seed in ("0", "1", "2", "3", "4", "5"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == expected
 
 
 @settings(max_examples=200)

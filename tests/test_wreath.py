@@ -89,6 +89,48 @@ class TestMultiplication:
         with pytest.raises(ValueError):
             wr_mul(wr_eval("b"), wr_eval("b", modulus=2))
 
+    def test_products_equal_the_checked_construction(self):
+        # wr_mul and wr_inv skip __post_init__; their results must equal, hash
+        # and print as the element from_support builds from the same lamps
+        rng = random.Random(23)
+        for _ in range(300):
+            modulus = rng.choice([None, 2, 3, 7])
+            g, h = (
+                WreathElement.from_support(
+                    {rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))},
+                    rng.randint(-4, 4),
+                    modulus,
+                )
+                for _ in range(2)
+            )
+            lamps = {pos + h.shift: val for pos, val in g.support}
+            for pos, val in h.support:
+                lamps[pos] = lamps.get(pos, 0) + val
+            for built, expected in [
+                (wr_mul(g, h), WreathElement.from_support(lamps, g.shift + h.shift, modulus)),
+                (wr_inv(g), WreathElement.from_support(
+                    {pos - g.shift: -val for pos, val in g.support}, -g.shift, modulus)),
+            ]:
+                assert built == expected and hash(built) == hash(expected)
+                assert repr(built) == repr(expected)
+                assert built.positions == tuple(sorted(built.positions))
+                assert all(val != 0 for _, val in built.support)
+                if modulus is not None:
+                    assert all(0 < val < modulus for _, val in built.support)
+
+    def test_products_cancel_and_reduce(self):
+        g = WreathElement.from_support({0: 3, 1: 1}, 2, modulus=5)
+        h = WreathElement.from_support({2: 2, 3: 4, -1: 1, 5: 8}, 2, modulus=5)
+        product = wr_mul(g, h)
+        assert product.support == ((-1, 1), (5, 3)) and product.shift == 4
+        assert wr_mul(g, wr_inv(g)) == WreathElement.identity(5)
+        assert wr_inv(WreathElement.from_support({1: -2}, 3)).support == ((-2, 2),)
+
+    def test_modulus_mismatch_is_refused_before_the_product(self):
+        for left, right in [(None, 2), (2, None), (3, 5)]:
+            with pytest.raises(ValueError, match=f"modulus mismatch: {left} vs {right}"):
+                wr_mul(WreathElement.identity(left), WreathElement.identity(right))
+
 
 class TestEvaluation:
     def test_pure_shift(self):

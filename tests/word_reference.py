@@ -1,0 +1,52 @@
+"""``solvkit.words.parse_word`` as it stood before it split the text at
+each generator letter: one character at a time, left to right, merging
+adjacent powers as it goes.  Kept as the test oracle for the parser's
+letters, errors and columns.
+"""
+
+from __future__ import annotations
+
+from solvkit.words import GENERATORS, WordParseError
+
+
+def reference_letters(text: str) -> tuple[tuple[str, int], ...]:
+    """The normalized letters of ``text``; raises what the parser raises."""
+    pairs: list[tuple[str, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch not in GENERATORS:
+            raise WordParseError(f"unknown letter {ch!r}", i + 1)
+        gen = ch
+        i += 1
+        exp = 1
+        if i < n and text[i] == "^":
+            i += 1
+            sign = 1
+            if i < n and text[i] == "-":
+                sign = -1
+                i += 1
+            start = i
+            while i < n and text[i].isdecimal():
+                i += 1
+            if i == start:
+                raise WordParseError("exponent must have at least one digit", i + 1)
+            exp = sign * int(text[start:i])
+        pairs.append((gen, exp))
+    merged: list[tuple[str, int]] = []
+    for gen, exp in pairs:
+        if exp == 0:
+            continue
+        if merged and merged[-1][0] == gen:
+            combined = merged[-1][1] + exp
+            if combined == 0:
+                merged.pop()
+            else:
+                merged[-1] = (gen, combined)
+        else:
+            merged.append((gen, exp))
+    return tuple(merged)

@@ -9,10 +9,11 @@ runs through each tree's ``solvkit.cli.main``, each tree in its own
 process, with Python's default limit on decimal digits.  The corpus
 covers every subcommand in text and ``--json``, random signatures with
 words that hide conjugated relators, ``gc member`` vectors, ``snf`` and
-``minors`` matrix files, bad inputs, the edges of the residue budget and
-``verify all`` at seeds 0 and 7.  The script prints the number of calls,
-one sha256 per side over every call's exit code, stdout and stderr, and
-each call on which the sides differ; it exits 1 when any call differs.
+``minors`` matrix files, bad inputs, words that stress the parser, the
+edges of the residue budget and ``verify all`` at seeds 0 and 7.  The
+script prints the number of calls, one sha256 per side over every call's
+exit code, stdout and stderr, and each call on which the sides differ; it
+exits 1 when any call differs.
 """
 
 from __future__ import annotations
@@ -200,6 +201,21 @@ def corpus(seed: int) -> tuple[list[list[str]], dict[str, str]]:
     ]
     for argv in bad:
         both(*argv.split())
+
+    # Words that stress the parser: terms with no space between them, other
+    # separators, other decimal digits, errors far into the text and
+    # exponents either side of Python's 4,300-digit limit.
+    huge = "7" * 4301
+    parser_words = [
+        "a^2b^-3a^-2b^3", "ab^-1a^-1b", "a\tb\na^-1\u3000b^-1", "\u3000a^٣ b^-٣\t",
+        "a^007 b a^-007", "a^-0 b^-0 a", "b^0", " \n\t\u3000", "a b " * 60 + "a^",
+        "a^-1 b " * 60 + "x", "b^2" * 80 + "b^-", "a b^² a^-1", f"a^{huge} x", f"x a^{huge}",
+        f"b a^-{huge}b^", f"a^{huge[:4300]} b a^-{huge[:4300]}",
+    ]
+    for word in parser_words:
+        both("gc", "eval", "--c", "2,-1", word)
+        both("gc", "is-identity", "--c", "-2,3", word)
+        both("wreath", "eval", "--mod", "3", word)
 
     for seed_value in ("0", "7"):
         both("verify", "all", "--seed", seed_value)
