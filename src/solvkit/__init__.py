@@ -3,51 +3,43 @@ wreath products over the integer line, and the integer matrix machinery
 (Smith normal form, minor gcds, banded relation matrices) they rest on,
 plus a seeded self-verification harness."""
 
-from .gcgroup import (
-    GcElement,
-    GcSignature,
-    IntervalSubgroupReport,
-    MembershipResult,
-    PowerIndexResult,
-    band_matrix,
-    base_membership,
-    companion_action,
-    gc_abelianization,
-    gc_eval,
-    gc_identity,
-    gc_inv,
-    gc_is_identity,
-    gc_is_proper,
-    gc_mul,
-    gc_pow,
-    interval_subgroup,
-    parse_signature,
-    power_subgroup_index,
-    relator_check,
-)
-from .linalg import (
-    DimensionError,
-    Matrix,
-    SingularMatrixError,
-    SNFResult,
-    exact_scalar,
-    mat_pow,
-    matrix_from_json,
-    matrix_to_json,
-    minor_gcds,
-    snf,
-    solve_integer_system,
-)
-from .verify import LemmaReport, minkowski_bound, run_all
-from .words import GeneratorWord, WordParseError, format_word, parse_word
-from .wreath import (
-    WreathElement,
-    wr_base_relation,
-    wr_eval,
-    wr_inv,
-    wr_is_identity,
-    wr_mul,
-    wr_pow,
-)
+from importlib import import_module as _import_module
 
+# Each exported name under the submodule that defines it.  Nothing is
+# imported until a name is first read (PEP 562), so ``import solvkit``, and
+# with it every ``python -m solvkit`` call, loads no submodule by itself.
+_EXPORTS = {
+    "gcgroup": (
+        "GcElement", "GcSignature", "IntervalSubgroupReport", "MembershipResult",
+        "PowerIndexResult", "band_matrix", "base_membership", "companion_action",
+        "gc_abelianization", "gc_eval", "gc_identity", "gc_inv", "gc_is_identity",
+        "gc_is_proper", "gc_mul", "gc_pow", "interval_subgroup", "parse_signature",
+        "power_subgroup_index", "relator_check",
+    ),
+    "linalg": (
+        "DimensionError", "Matrix", "SingularMatrixError", "SNFResult", "exact_scalar",
+        "mat_pow", "matrix_from_json", "matrix_to_json", "minkowski_bound", "minor_gcds",
+        "snf", "solve_integer_system",
+    ),
+    "verify": ("LemmaReport", "run_all"),
+    "words": ("GeneratorWord", "WordParseError", "format_word", "parse_word"),
+    "wreath": (
+        "WreathElement", "wr_base_relation", "wr_eval", "wr_inv", "wr_is_identity",
+        "wr_mul", "wr_pow",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_EXPORTS, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,9 +16,6 @@ import os
 import re
 import sys
 
-from . import gcgroup, linalg, verify, wreath
-from .words import parse_word
-
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -33,6 +30,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Each handler maps ``args`` to ``(payload, text)``: the ``--json`` object and
 # the human-readable form, the latter built from the payload's decimal strings.
+# It imports the modules it runs, so that a call loads, and with no bytecode
+# cache compiles, only those.
 
 
 def _fmt_rows(entries) -> str:
@@ -47,11 +46,13 @@ def _torsion(factors) -> str:
     return f"torsion [{', '.join(factors)}]" if factors else "no torsion"
 
 
-def _signature(args) -> gcgroup.GcSignature:
+def _signature(args):
+    from . import gcgroup
     return gcgroup.parse_signature(args.c)
 
 
-def _load_matrix(path: str) -> linalg.Matrix:
+def _load_matrix(path: str):
+    from . import linalg
     try:
         with open(path, encoding="utf-8") as handle:
             return linalg.matrix_from_json(json.load(handle))
@@ -60,19 +61,23 @@ def _load_matrix(path: str) -> linalg.Matrix:
 
 
 def _cmd_gc_eval(args):
-    payload = gcgroup.element_to_json(gcgroup.gc_eval(_signature(args), parse_word(args.word)))
+    from . import gcgroup
+    payload = gcgroup.element_to_json(gcgroup.gc_eval(_signature(args), args.word))
     return payload, f"translation ({', '.join(payload['translation'])}), shift {payload['shift']}"
 
 
 def _cmd_gc_is_identity(args):
-    return _flag("is_identity", gcgroup.gc_is_identity(_signature(args), parse_word(args.word)))
+    from . import gcgroup
+    return _flag("is_identity", gcgroup.gc_is_identity(_signature(args), args.word))
 
 
 def _cmd_gc_is_proper(args):
+    from . import gcgroup
     return _flag("is_proper", gcgroup.gc_is_proper(_signature(args)))
 
 
 def _cmd_gc_abelianization(args):
+    from . import gcgroup
     free_rank, torsion = gcgroup.gc_abelianization(_signature(args))
     factors = [str(f) for f in torsion]
     payload = {"free_rank": str(free_rank), "torsion_factors": factors}
@@ -80,6 +85,7 @@ def _cmd_gc_abelianization(args):
 
 
 def _cmd_gc_interval(args):
+    from . import gcgroup
     report = gcgroup.interval_subgroup(_signature(args), args.low, args.high)
     factors = [str(f) for f in report.torsion_factors]
     payload = {
@@ -95,17 +101,21 @@ def _cmd_gc_interval(args):
 
 
 def _cmd_gc_index(args):
-    index = str(gcgroup.power_subgroup_index(_signature(args), args.t, args.cap).index)
+    from . import gcgroup
+    cap = gcgroup.DEFAULT_INDEX_WINDOW_CAP if args.cap is None else args.cap
+    index = str(gcgroup.power_subgroup_index(_signature(args), args.t, cap).index)
     return {"status": "index", "index": index}, f"index {index}"
 
 
 def _cmd_gc_member(args):
+    from . import gcgroup, linalg
+    j_max = gcgroup.DEFAULT_MEMBERSHIP_BOUND if args.jmax is None else args.jmax
     vector = [linalg.scalar_from_str(part) for part in args.v.split(",")]
-    result = gcgroup.base_membership(_signature(args), vector, args.jmax)
+    result = gcgroup.base_membership(_signature(args), vector, j_max)
     if not result.is_member:
         return (
-            {"status": "not_found_within_bound", "j_max": str(args.jmax)},
-            f"not found within bound j_max={args.jmax}",
+            {"status": "not_found_within_bound", "j_max": str(j_max)},
+            f"not found within bound j_max={j_max}",
         )
     witness = {str(power): str(coeff) for power, coeff in result.witness}
     pairs = ", ".join(f"{p}: {n}" for p, n in witness.items()) or "empty combination"
@@ -113,6 +123,7 @@ def _cmd_gc_member(args):
 
 
 def _cmd_snf(args):
+    from . import linalg
     result = linalg.snf(_load_matrix(args.infile))
     factors = [str(f) for f in result.invariant_factors]
     payload = {"smith": linalg.matrix_to_json(result.smith)}
@@ -126,17 +137,20 @@ def _cmd_snf(args):
 
 
 def _cmd_minors(args):
+    from . import linalg
     gcds = [str(g) for g in linalg.minor_gcds(_load_matrix(args.infile))]
     return {"minor_gcds": gcds}, "minor gcds: " + ", ".join(gcds)
 
 
 def _cmd_band(args):
+    from . import gcgroup, linalg
     payload = linalg.matrix_to_json(gcgroup.band_matrix(_signature(args), args.m))
     return payload, _fmt_rows(payload["entries"])
 
 
 def _cmd_wreath_eval(args):
-    payload = wreath.element_to_json(wreath.wr_eval(parse_word(args.word), args.mod))
+    from . import wreath
+    payload = wreath.element_to_json(wreath.wr_eval(args.word, args.mod))
     support = ", ".join(f"{p}: {v}" for p, v in payload["support"].items())
     text = f"support {{{support}}}, shift {payload['shift']}"
     if payload["modulus"] is not None:
@@ -145,11 +159,13 @@ def _cmd_wreath_eval(args):
 
 
 def _cmd_wreath_is_identity(args):
-    element = wreath.wr_eval(parse_word(args.word), args.mod)
+    from . import wreath
+    element = wreath.wr_eval(args.word, args.mod)
     return _flag("is_identity", wreath.wr_is_identity(element))
 
 
 def _cmd_verify_all(args):
+    from . import verify
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("SOLVKIT_SEED", "0"))
@@ -167,7 +183,8 @@ def _cmd_verify_all(args):
 
 
 def _cmd_minkowski(args):
-    bound = str(verify.minkowski_bound(args.n))
+    from . import linalg
+    bound = str(linalg.minkowski_bound(args.n))
     return {"n": str(args.n), "bound": bound}, bound
 
 
@@ -200,10 +217,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="high", type=int, required=True)
     p = add_gc("index", _cmd_gc_index)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--cap", type=int, default=gcgroup.DEFAULT_INDEX_WINDOW_CAP)
+    p.add_argument("--cap", type=int)
     p = add_gc("member", _cmd_gc_member)
     p.add_argument("--v", required=True, help="comma-separated rationals, e.g. 1/2,3")
-    p.add_argument("--jmax", type=int, default=gcgroup.DEFAULT_MEMBERSHIP_BOUND)
+    p.add_argument("--jmax", type=int)
 
     p = add(sub, "snf", _cmd_snf, help="Smith normal form of a matrix file")
     p.add_argument("--in", dest="infile", required=True)

@@ -26,7 +26,7 @@ from .gcgroup import (
     power_subgroup_index,
     relator_check,
 )
-from .linalg import Matrix
+from .linalg import MINKOWSKI_N_BUDGET, Matrix, minkowski_bound  # noqa: F401  (re-exported)
 from .words import GeneratorWord
 from .wreath import WreathElement, wr_base_relation, wr_eval, wr_inv, wr_mul, wr_pow
 
@@ -314,38 +314,6 @@ def check_wreath(rng: random.Random) -> LemmaReport:
             f"inverse law failed on {x}",
         )
     return rec.report()
-
-
-def _primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
-
-
-MINKOWSKI_N_BUDGET = 1331
-
-
-def minkowski_bound(n: int) -> int:
-    """A positive integer divisible by the order of every finite subgroup
-    of the n x n integer general linear group.
-
-    Computed by the classical exponent formula: for each prime
-    ``p <= n + 1`` the exponent of p is ``sum_k floor(n / (p^k (p-1)))``.
-    For ``n`` above ``MINKOWSKI_N_BUDGET`` the bound has more than 4,300
-    decimal digits, Python's limit for printing an int, so such ``n`` is
-    refused with ``ValueError``.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MINKOWSKI_N_BUDGET:
-        raise ValueError(f"n {n} is over the budget of {MINKOWSKI_N_BUDGET}")
-    bound = 1
-    for p in _primes_up_to(n + 1):
-        exponent = 0
-        pk = 1
-        while pk * (p - 1) <= n:
-            exponent += n // (pk * (p - 1))
-            pk *= p
-        bound *= p**exponent
-    return bound
 
 
 def check_minkowski() -> LemmaReport:

@@ -15,7 +15,9 @@ from typing import Iterable
 
 GENERATORS = ("a", "b")
 _TERM = re.compile(r"[ab](?:\^-?\d+)?")
-_SCAN = re.compile(r"([ab])(?:\^-?(\d*))?|\S")
+# Only malformed text is scanned, so this pattern is compiled (and cached by
+# ``re``) on its first use, not by every process that imports this module.
+_SCAN = r"([ab])(?:\^-?(\d*))?|\S"
 
 
 class WordParseError(ValueError):
@@ -90,7 +92,7 @@ def parse_word(text: str) -> GeneratorWord:
 def _first_error(text: str) -> WordParseError:
     """The first error in malformed ``text``, read from the left; an exponent
     over Python's digit limit before it raises its ``ValueError`` here."""
-    for term in _SCAN.finditer(text):
+    for term in re.finditer(_SCAN, text):
         gen, digits = term.groups()
         if gen is None:
             return WordParseError(f"unknown letter {term[0]!r}", term.start() + 1)

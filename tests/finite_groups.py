@@ -1,5 +1,5 @@
 """Brute-force enumeration of small finite integer matrix groups, kept as a
-test oracle for ``solvkit.verify.minkowski_bound``.
+test oracle for ``solvkit.linalg.minkowski_bound``.
 
 2 x 2 integer matrices are 4-tuples ``(a, b, c, d)`` in row-major order.
 """

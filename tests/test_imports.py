@@ -1,0 +1,108 @@
+"""What ``import solvkit`` and each command load, and the public names.
+
+With no bytecode cache (``PYTHONDONTWRITEBYTECODE``), every module a CLI
+call loads is compiled from source in that call, so a command loads only
+the modules it runs.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+import types
+
+import pytest
+
+import solvkit
+from solvkit import verify
+
+PUBLIC = [
+    "DimensionError", "GcElement", "GcSignature", "GeneratorWord", "IntervalSubgroupReport",
+    "LemmaReport", "Matrix", "MembershipResult", "PowerIndexResult", "SNFResult",
+    "SingularMatrixError", "WordParseError", "WreathElement", "band_matrix", "base_membership",
+    "companion_action", "exact_scalar", "format_word", "gc_abelianization", "gc_eval",
+    "gc_identity", "gc_inv", "gc_is_identity", "gc_is_proper", "gc_mul", "gc_pow", "gcgroup",
+    "interval_subgroup", "linalg", "mat_pow", "matrix_from_json", "matrix_to_json",
+    "minkowski_bound", "minor_gcds", "parse_signature", "parse_word", "power_subgroup_index",
+    "relator_check", "run_all", "snf", "solve_integer_system", "verify", "words",
+    "wr_base_relation", "wr_eval", "wr_inv", "wr_is_identity", "wr_mul", "wr_pow", "wreath",
+]
+
+# Runs ``python -m solvkit`` in this interpreter, then lists the solvkit
+# submodules it loaded on the last line of stderr.
+PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("solvkit.")),
+                              file=sys.stderr))
+runpy.run_module("solvkit", run_name="__main__", alter_sys=True)
+"""
+EVERY = {"cli", "gcgroup", "linalg", "verify", "words", "wreath"}
+
+
+def loaded_by(*argv):
+    done = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                          timeout=120)
+    modules = done.stderr.splitlines()[-1].split()
+    return done, {name.removeprefix("solvkit.") for name in modules}
+
+
+def test_import_solvkit_loads_no_submodule():
+    probe = "import sys, solvkit; print([m for m in sys.modules if m.startswith('solvkit.')])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["gc", "eval", "--c", "2,-1", "--json", "a^-1 b a"], 0, EVERY - {"verify"}),
+        (["gc", "member", "--c", "2,-1", "--v", "1/2"], 0, EVERY - {"verify"}),
+        (["wreath", "eval", "--mod", "3", "--json", "b a b"], 0, {"cli", "words", "wreath"}),
+        (["wreath", "is-identity", "b x"], 1, {"cli", "words", "wreath"}),
+        (["minkowski", "--n", "2", "--json"], 0, {"cli", "linalg"}),
+        (["snf", "--in", "missing.json"], 1, {"cli", "linalg"}),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, code, modules):
+    done, loaded = loaded_by(*argv)
+    assert done.returncode == code, done.stderr
+    assert loaded == modules
+
+
+def test_verify_all_loads_everything_and_prints_the_library_report():
+    done, loaded = loaded_by("verify", "all", "--seed", "0", "--json")
+    assert done.returncode == 0
+    assert loaded == EVERY
+    assert done.stdout == json.dumps(verify.reports_to_json(verify.run_all(0))) + "\n"
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from solvkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert sorted(solvkit.__all__) == PUBLIC
+
+
+def test_each_public_name_is_its_home_object():
+    assert set(PUBLIC) <= set(dir(solvkit))
+    for name in PUBLIC:
+        value = getattr(solvkit, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"solvkit.{name}"]
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        solvkit.no_such_name  # noqa: B018
+    assert not hasattr(solvkit, "_no_such_name")
+
+
+def test_minkowski_bound_lives_in_linalg_and_verify_reexports_it():
+    from solvkit.verify import MINKOWSKI_N_BUDGET
+
+    assert solvkit.verify.minkowski_bound is solvkit.linalg.minkowski_bound
+    assert solvkit.minkowski_bound is solvkit.linalg.minkowski_bound
+    assert MINKOWSKI_N_BUDGET == solvkit.linalg.MINKOWSKI_N_BUDGET

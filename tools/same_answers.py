@@ -197,7 +197,8 @@ def corpus(seed: int) -> tuple[list[list[str]], dict[str, str]]:
         "gc member --c 2,-1 --v 1,2", "gc member --c 2,-1 --v 1/3 --jmax 51",
         "gc member --c 2,-1 --v 1/3 --jmax -1", "gc member --c 2,-1 --v 1e100000000",
         "gc member --c 2,-1 --v x", "wreath eval --mod 1.5 b", "verify all --seed x", "snf",
-        "minkowski --n two", "gc eval --help", "--help",
+        "minkowski --n two", "--help", "gc eval --help", "gc index --help", "gc member --help",
+        "wreath eval --help", "minkowski --help", "snf --help", "verify all --help",
     ]
     for argv in bad:
         both(*argv.split())
