@@ -3,8 +3,6 @@ wreath products over the integer line, and the integer matrix machinery
 (Smith normal form, minor gcds, banded relation matrices) they rest on,
 plus a seeded self-verification harness."""
 
-from importlib import import_module as _import_module
-
 # Each exported name under the submodule that defines it.  Nothing is
 # imported until a name is first read (PEP 562), so ``import solvkit``, and
 # with it every ``python -m solvkit`` call, loads no submodule by itself.
@@ -34,11 +32,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return _import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``__import__`` takes the C import path, which ``python -X importtime`` logs
+    __import__(f"{__name__}.{module}")
+    return globals()[module] if name == module else getattr(globals()[module], name)
 
 
 def __dir__():

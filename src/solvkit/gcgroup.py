@@ -18,20 +18,19 @@ kept as ``s`` integer numerators over one denominator, its coefficients on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .linalg import (
-    DimensionError,
-    Matrix,
-    Scalar,
-    exact_scalar,
-    scalar_from_str,
-    solve_integer_system,
-)
-from .words import GeneratorWord, parse_word
-from .wreath import word_lamps
+import solvkit
+
+from ._value import _Value
+from .words import GeneratorWord, parse_word, word_lamps
+
+# The functions that use ``linalg`` read it as ``solvkit.linalg``, so the
+# package's ``__getattr__`` loads it on first use and commands without it skip it.
+if TYPE_CHECKING:
+    from .linalg import Matrix, Scalar
 
 DEFAULT_MEMBERSHIP_BOUND = 10
 DEFAULT_INDEX_WINDOW_CAP = 20
@@ -41,17 +40,17 @@ MEMBERSHIP_WINDOW_BUDGET = 50
 BAND_ROWS_BUDGET = 1000
 
 
-@dataclass(frozen=True)
-class GcSignature:
+class GcSignature(_Value):
     """Validated coefficient vector; ``s`` is the top conjugation depth."""
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.__post_init__()
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        coeffs = self.coeffs
         if any(isinstance(x, bool) or not isinstance(x, int) for x in coeffs):
             raise TypeError("signature coefficients must be integers")
-        object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("signature needs at least two coefficients (s >= 1)")
         if coeffs[0] == 0 or coeffs[-1] == 0:
@@ -76,8 +75,7 @@ def parse_signature(text: str) -> GcSignature:
     return GcSignature(coeffs)
 
 
-@dataclass(frozen=True)
-class GcElement:
+class GcElement(_Value):
     """Group element ``(v, k)``: a residue ``v`` of ``Z[x, 1/x]/(c)`` and a shift.
 
     ``translation`` holds the coefficients of ``v`` on ``1, ..., x^(s-1)``.
@@ -86,18 +84,20 @@ class GcElement:
     chosen so that evaluating ``a^-i b a^i`` yields ``(x^i, 0)``.
 
     ``v`` is also kept as its canonical residue pair ``_pair``, which is no
-    field, so ``hash``, ``repr`` and ``fields`` see only ``(v, k)``; ``==``
+    field, so ``hash``, ``repr`` and ``__match_args__`` see only ``(v, k)``; ``==``
     and ``is_identity`` read ``(k, _pair)``, which says the same, as each
     residue has one canonical pair.  Every element the library computes
     stores only its shift and pair, skips the scalar checks, and builds
     ``translation`` from the pair on first read.
     """
 
-    translation: tuple[Scalar, ...]
-    shift: int
+    def __init__(self, translation: tuple[Scalar, ...], shift: int):
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "shift", shift)
+        self.__post_init__()
 
     def __post_init__(self):
-        cleaned = tuple(exact_scalar(x) for x in self.translation)
+        cleaned = tuple(map(solvkit.linalg.exact_scalar, self.translation))
         object.__setattr__(self, "translation", cleaned)
         if isinstance(self.shift, bool) or not isinstance(self.shift, int):
             raise TypeError("shift must be an integer")
@@ -115,6 +115,8 @@ class GcElement:
             return NotImplemented
         return self.shift == other.shift and self._pair == other._pair
 
+    __hash__ = _Value.__hash__
+
     @property
     def is_identity(self) -> bool:
         return self.shift == 0 and not any(self._pair[0])
@@ -130,7 +132,7 @@ def band_matrix(c: GcSignature, m: int) -> Matrix:
     if m > BAND_ROWS_BUDGET:
         raise ValueError(f"band matrix with {m} rows is over the budget of {BAND_ROWS_BUDGET}")
     s = c.s
-    return Matrix(
+    return solvkit.linalg.Matrix(
         [
             [c.coeffs[j - i] if 0 <= j - i <= s else 0 for j in range(m + s)]
             for i in range(m)
@@ -150,7 +152,7 @@ def companion_action(c: GcSignature) -> Matrix:
     s = c.s
     rows = [[int(j == i + 1) for j in range(s)] for i in range(s - 1)]
     rows.append([Fraction(-c.coeffs[j], c.coeffs[s]) for j in range(s)])
-    return Matrix(rows)
+    return solvkit.linalg.Matrix(rows)
 
 
 def _reduce(c: GcSignature, nums: Sequence[int], den: int, low: int = 0):
@@ -443,14 +445,15 @@ def gc_abelianization(c: GcSignature) -> tuple[int, tuple[int, ...]]:
     return 1, ((total,) if total > 1 else ())
 
 
-@dataclass(frozen=True)
-class IntervalSubgroupReport:
+class IntervalSubgroupReport(_Value):
     """Isomorphism data for the subgroup generated by ``b_k .. b_k'``."""
 
-    generators: int
-    relators: int
-    free_rank: int
-    torsion_factors: tuple[int, ...]
+    def __init__(self, generators: int, relators: int, free_rank: int,
+                 torsion_factors: tuple[int, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
 
 
 def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupReport:
@@ -471,8 +474,7 @@ def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupRe
     )
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(_Value):
     """Outcome of the bounded base-group membership search.
 
     ``witness`` maps powers ``i`` to integer coefficients when the vector
@@ -481,7 +483,8 @@ class MembershipResult:
     of non-membership.
     """
 
-    witness: tuple[tuple[int, int], ...] | None
+    def __init__(self, witness: tuple[tuple[int, int], ...] | None):
+        object.__setattr__(self, "witness", witness)
 
     @property
     def is_member(self) -> bool:
@@ -508,9 +511,10 @@ def base_membership(
     solves an ``s x (2j + s)`` system, so ``j_max`` above
     ``MEMBERSHIP_WINDOW_BUDGET`` is refused with ``ValueError``.
     """
-    target = tuple(exact_scalar(x) for x in vector)
+    linalg = solvkit.linalg
+    target = tuple(linalg.exact_scalar(x) for x in vector)
     if len(target) != c.s:
-        raise DimensionError(f"vector length {len(target)} != s = {c.s}")
+        raise linalg.DimensionError(f"vector length {len(target)} != s = {c.s}")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
     if j_max > MEMBERSHIP_WINDOW_BUDGET:
@@ -523,11 +527,11 @@ def base_membership(
         den = math.lcm(*(d for _, d in residues))
         if den % target_den:
             continue
-        columns = Matrix(
+        columns = linalg.Matrix(
             [[nums[row] * (den // d) for nums, d in residues] for row in range(c.s)]
         )
         rhs = [x * (den // target_den) for x in target_nums]
-        solution = solve_integer_system(columns, rhs)
+        solution = linalg.solve_integer_system(columns, rhs)
         if solution is not None:
             witness = tuple(
                 (power, coeff) for power, coeff in zip(powers, solution) if coeff
@@ -539,12 +543,12 @@ def base_membership(
     return MembershipResult(witness=None)
 
 
-@dataclass(frozen=True)
-class PowerIndexResult:
+class PowerIndexResult(_Value):
     """Index of ``<a, b^t>``.  The index is a closed form, so it is always
     known and ``stabilized`` is always true."""
 
-    index: int
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
     @property
     def stabilized(self) -> bool:
@@ -590,7 +594,14 @@ def power_subgroup_index(
 
 
 def element_to_json(element: GcElement) -> dict:
-    """JSON form with decimal-string scalars (``p/q`` for true rationals)."""
+    """JSON form with decimal-string scalars (``p/q`` for true rationals).
+    A coordinate ``x / den`` prints a numerator ``x / g``, ``g | den``, of at
+    least ``bits(x) - bits(den)`` bits: if that passes Python's limit on printed
+    digits (``log2 10 < 3.322``), it is refused before ``translation`` is built."""
+    nums, den = element._pair
+    limit = sys.get_int_max_str_digits()
+    if limit and 1000 * (max(map(int.bit_length, nums)) - den.bit_length() - 1) >= 3322 * limit:
+        raise ValueError(f"a number is over the limit of {limit} decimal digits")
     return {
         "translation": [str(x) for x in element.translation],
         "shift": str(element.shift),
@@ -598,5 +609,5 @@ def element_to_json(element: GcElement) -> dict:
 
 
 def element_from_json(obj: dict) -> GcElement:
-    translation = tuple(scalar_from_str(x) for x in obj["translation"])
+    translation = tuple(solvkit.linalg.scalar_from_str(x) for x in obj["translation"])
     return GcElement(translation, int(obj["shift"]))

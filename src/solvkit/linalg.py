@@ -15,9 +15,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._value import _Value
 
 
 class DimensionError(ValueError):
@@ -261,8 +262,7 @@ def matrix_times_column(matrix: Matrix, vector: Sequence[Scalar]) -> tuple[Scala
     return tuple(sum(map(operator.mul, row, vector)) for row in matrix.rows_as_tuples())
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Value):
     """Smith normal form ``left * original * right = smith``.
 
     ``left`` and ``right`` are unimodular, ``smith`` is zero off the
@@ -270,10 +270,12 @@ class SNFResult:
     dividing the next) padded with zeros.
     """
 
-    smith: Matrix
-    left: Matrix
-    right: Matrix
-    invariant_factors: tuple[int, ...]
+    def __init__(self, smith: Matrix, left: Matrix, right: Matrix,
+                 invariant_factors: tuple[int, ...]):
+        object.__setattr__(self, "smith", smith)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
 
 def snf(matrix: Matrix) -> SNFResult:

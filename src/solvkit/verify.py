@@ -10,10 +10,10 @@ byte-identical run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
+from ._value import _Value
 from .gcgroup import (
     GcSignature,
     band_matrix,
@@ -31,14 +31,16 @@ from .words import GeneratorWord
 from .wreath import WreathElement, wr_base_relation, wr_eval, wr_inv, wr_mul, wr_pow
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_Value):
     """Aggregated outcome of one named check."""
 
-    lemma_id: str
-    cases_run: int
-    cases_passed: int
-    first_failure: str | None = None
+    def __init__(self, lemma_id: str, cases_run: int, cases_passed: int,
+                 first_failure: str | None = None):
+        object.__setattr__(self, "lemma_id", lemma_id)
+        object.__setattr__(self, "cases_run", cases_run)
+        object.__setattr__(self, "cases_passed", cases_passed)
+        object.__setattr__(self, "first_failure", first_failure)
+        self.__post_init__()
 
     @property
     def passed(self) -> bool:

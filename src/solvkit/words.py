@@ -10,8 +10,9 @@ of the same generator merge, so ``a^2 a^-2 b`` and ``b`` give the same word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._value import _Value
 
 GENERATORS = ("a", "b")
 _TERM = re.compile(r"[ab](?:\^-?\d+)?")
@@ -28,11 +29,11 @@ class WordParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(_Value):
     """A normalized word: tuple of (generator, nonzero exponent) pairs."""
 
-    letters: tuple[tuple[str, int], ...] = ()
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()):
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_letters(cls, pairs: Iterable[tuple[str, int]]) -> "GeneratorWord":
@@ -100,6 +101,18 @@ def _first_error(text: str) -> WordParseError:
             return WordParseError("exponent must have at least one digit", term.end() + 1)
         if digits:
             int(digits)
+
+
+def word_lamps(word: GeneratorWord) -> tuple[dict[int, int], int]:
+    """Lamp values (zeros kept) and shift of the word's image in Z wr Z, in
+    one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``."""
+    lamps, t = {}, 0
+    for gen, exp in word.letters:
+        if gen == "a":
+            t += exp
+        else:
+            lamps[-t] = lamps.get(-t, 0) + exp
+    return {pos + t: val for pos, val in lamps.items()}, t
 
 
 def format_word(word: GeneratorWord) -> str:

@@ -12,19 +12,21 @@ lamp at ``i``: the rule of the coefficient-vector groups, which read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .words import GeneratorWord, parse_word
+from ._value import _Value
+from .words import GeneratorWord, parse_word, word_lamps
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(_Value):
     """Lamp configuration (sorted, zero-free) plus lamplighter shift."""
 
-    support: tuple[tuple[int, int], ...]
-    shift: int
-    modulus: int | None = None
+    def __init__(self, support: tuple[tuple[int, int], ...], shift: int,
+                 modulus: int | None = None):
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "modulus", modulus)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.modulus is not None and _int_only(self.modulus, "modulus") < 2:
@@ -128,18 +130,6 @@ def wr_pow(g: WreathElement, n: int) -> WreathElement:
         n >>= 1
         g = wr_mul(g, g) if n else g
     return result
-
-
-def word_lamps(word: GeneratorWord) -> tuple[dict[int, int], int]:
-    """Lamp values (zeros kept) and shift of the word's image in Z wr Z, in
-    one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``."""
-    lamps, t = {}, 0
-    for gen, exp in word.letters:
-        if gen == "a":
-            t += exp
-        else:
-            lamps[-t] = lamps.get(-t, 0) + exp
-    return {pos + t: val for pos, val in lamps.items()}, t
 
 
 def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElement:

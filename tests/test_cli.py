@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -383,6 +384,27 @@ class TestErrorPaths:
             timeout=10,
         )
         assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+    def test_answer_over_the_digit_limit_is_refused_from_its_pair(self):
+        # x^-262143 mod 3x^3 - x^2 + x + 2 has three coordinates of about
+        # 415,000 bits over 262,144.  Building their Fractions takes nearly
+        # twice as long as the evaluation; the refusal reads only the bit
+        # lengths of the pair, so the call may take half as long again as the
+        # evaluation, plus 0.3 s to start.
+        word = "a^262143 b a^-262143"
+        start = time.perf_counter()
+        element = gc_eval(GcSignature((2, 1, -1, 3)), word)
+        spare = 1.5 * (time.perf_counter() - start) + 0.3
+        with pytest.raises(ValueError, match="over the limit of 4300 decimal digits"):
+            element_to_json(element)
+        assert "translation" not in vars(element)
+        result = subprocess.run(
+            [sys.executable, "-m", "solvkit", "gc", "eval", "--c=2,1,-1,3", "--json", word],
+            capture_output=True,
+            timeout=spare,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == b"solvkit: a number is over the limit of 4300 decimal digits\n"
 
     def test_membership_over_window_budget_is_refused_promptly(self):
         # One window system per j: --jmax 100000000 would run for hours.

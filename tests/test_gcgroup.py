@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from solvkit.gcgroup import (
     power_subgroup_index,
     relator_check,
 )
-from solvkit.gcgroup import _reduce, _residue, _times_x_power
+from solvkit.gcgroup import _element, _reduce, _residue, _scalars, _times_x_power
 from solvkit.linalg import DimensionError, Matrix, mat_pow, snf, solve_integer_system
 from solvkit.verify import (
     conjugate_commutator_word,
@@ -628,3 +629,42 @@ class TestElementJson:
         obj = element_to_json(g)
         assert obj == {"translation": ["1/2", "-3"], "shift": "7"}
         assert element_from_json(obj) == g
+
+    def test_digit_limit_refusal_is_that_of_the_printed_numbers(self):
+        # The bit lengths of the pair refuse early only what printing refuses.
+        from solvkit.gcgroup import element_to_json
+
+        rng = random.Random(1701)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            early = 0
+            for _ in range(1000):
+                den = rng.choice([1, 2, 3 ** rng.randint(1, 1400), rng.getrandbits(2200) | 1,
+                                  2 ** rng.randint(2, 2200) - 1])
+                # numerators about 10^e over a small divisor, times 1 or den:
+                # printed numerators at and past the limit, from pairs whose bit
+                # lengths tell more or less about them
+                nums = tuple(
+                    rng.choice([1, -1, den, -den])
+                    * (10 ** rng.choice([640, 640, 641, 700]) + rng.randint(-(2**20), 2**20))
+                    // rng.choice([1, 3, 8, 1000])
+                    for _ in range(rng.randint(1, 3))
+                )
+                element = _element((nums, den), 0)
+                try:
+                    printed = [str(x) for x in _scalars(*element._pair)]
+                except ValueError:
+                    printed = None
+                try:
+                    assert element_to_json(element)["translation"] == printed
+                except ValueError as exc:
+                    assert printed is None
+                    if str(exc) == "a number is over the limit of 640 decimal digits":
+                        early += "translation" not in vars(element)
+            assert early > 100
+            sys.set_int_max_str_digits(0)
+            element = _element(((10**5000 + 1,), 3), 0)
+            assert element_to_json(element)["translation"] == [f"{10**5000 + 1}/3"]
+        finally:
+            sys.set_int_max_str_digits(limit)

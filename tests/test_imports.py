@@ -36,7 +36,9 @@ atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("so
                               file=sys.stderr))
 runpy.run_module("solvkit", run_name="__main__", alter_sys=True)
 """
-EVERY = {"cli", "gcgroup", "linalg", "verify", "words", "wreath"}
+EVERY = {"_value", "cli", "gcgroup", "linalg", "verify", "words", "wreath"}
+GC = {"_value", "cli", "gcgroup", "words"}
+WREATH = {"_value", "cli", "words", "wreath"}
 
 
 def loaded_by(*argv):
@@ -56,18 +58,61 @@ def test_import_solvkit_loads_no_submodule():
 @pytest.mark.parametrize(
     "argv, code, modules",
     [
-        (["gc", "eval", "--c", "2,-1", "--json", "a^-1 b a"], 0, EVERY - {"verify"}),
-        (["gc", "member", "--c", "2,-1", "--v", "1/2"], 0, EVERY - {"verify"}),
-        (["wreath", "eval", "--mod", "3", "--json", "b a b"], 0, {"cli", "words", "wreath"}),
-        (["wreath", "is-identity", "b x"], 1, {"cli", "words", "wreath"}),
-        (["minkowski", "--n", "2", "--json"], 0, {"cli", "linalg"}),
-        (["snf", "--in", "missing.json"], 1, {"cli", "linalg"}),
+        (["gc", "eval", "--c", "2,-1", "--json", "a^-1 b a"], 0, GC),
+        (["gc", "member", "--c", "2,-1", "--v", "1/2"], 0, GC | {"linalg"}),
+        (["wreath", "eval", "--mod", "3", "--json", "b a b"], 0, WREATH),
+        (["wreath", "is-identity", "b x"], 1, WREATH),
+        (["minkowski", "--n", "2", "--json"], 0, {"_value", "cli", "linalg"}),
+        (["snf", "--in", "missing.json"], 1, {"_value", "cli", "linalg"}),
+        (["gc", "index", "--c", "2,-1", "--t", "4", "--json"], 0, GC),
+        (["gc", "is-proper", "--c", "1,3,1", "--json"], 0, GC),
+        (["band", "--c", "2,-1", "--m", "3", "--json"], 0, GC | {"linalg"}),
     ],
 )
 def test_each_command_loads_only_what_it_runs(argv, code, modules):
     done, loaded = loaded_by(*argv)
     assert done.returncode == code, done.stderr
     assert loaded == modules
+
+
+def test_importtime_logs_every_solvkit_module_a_command_loads():
+    # ``-X importtime`` logs what the import system's C path loads, which a
+    # module loaded through ``importlib.import_module`` would not reach.
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", PROBE, "gc", "eval", "--c=2,-1", "--json", "b"],
+        capture_output=True, text=True, timeout=120,
+    )
+    *log, loaded = done.stderr.splitlines()
+    logged = {line.rsplit("|", 1)[-1].strip() for line in log if line.startswith("import time:")}
+    assert done.returncode == 0, done.stderr
+    assert set(loaded.split()) == {f"solvkit.{name}" for name in GC}
+    assert set(loaded.split()) <= logged
+    assert not logged & {"dataclasses", "inspect"}
+
+
+def test_no_command_of_the_cli_mix_loads_dataclasses_or_inspect():
+    # one call of each kind that the ``cli-calls`` benchmark mix makes
+    calls = [
+        ["gc", "is-identity", "--c=2,-1", "a^-1 b a b^-2"],
+        ["gc", "eval", "--c=3,1,2", "a^-1 b a^2"],
+        ["wreath", "eval", "--mod", "3", "b a b"],
+        ["gc", "index", "--c=2,-1", "--t", "6"],
+        ["gc", "interval", "--c=2,-1", "--from", "0", "--to", "3"],
+        ["gc", "abelianization", "--c=2,-1"],
+        ["gc", "is-proper", "--c=1,1"],
+        ["band", "--c=2,-1", "--m", "2"],
+        ["minkowski", "--n", "3"],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from solvkit.cli import main\n"
+        "codes = [main(argv + ['--json']) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(calls)} []"
 
 
 def test_verify_all_loads_everything_and_prints_the_library_report():
