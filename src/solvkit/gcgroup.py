@@ -46,6 +46,7 @@ class GcSignature(_Value):
     def __init__(self, coeffs: tuple[int, ...]):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         self.__post_init__()
+        object.__setattr__(self, "s", len(self.coeffs) - 1)  # not a field
 
     def __post_init__(self):
         coeffs = self.coeffs
@@ -57,10 +58,6 @@ class GcSignature(_Value):
             raise ValueError("first and last coefficients must be nonzero")
         if math.gcd(*coeffs) != 1:
             raise ValueError("coefficients must have gcd 1")
-
-    @property
-    def s(self) -> int:
-        return len(self.coeffs) - 1
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.coeffs)
@@ -101,14 +98,14 @@ class GcElement(_Value):
         object.__setattr__(self, "translation", cleaned)
         if isinstance(self.shift, bool) or not isinstance(self.shift, int):
             raise TypeError("shift must be an integer")
-        self.__dict__["_pair"] = _residue(cleaned)
+        object.__setattr__(self, "_pair", _residue(cleaned))
 
     def __getattr__(self, name):
         # Only reached while an element made by ``_element`` has no translation yet.
         if name != "translation":
             raise AttributeError(name)
-        translation = self.__dict__["translation"] = _scalars(*self._pair)
-        return translation
+        object.__setattr__(self, "translation", _scalars(*self._pair))
+        return self.translation
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -193,7 +190,7 @@ def _canonical(r):
     equal residues are equal pairs."""
     nums, den = r
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
+    return tuple([x // g for x in nums]), den // g
 
 
 def _mul(c: GcSignature, a, b):
@@ -207,7 +204,7 @@ def _mul(c: GcSignature, a, b):
 
 
 def _times_x_power(c: GcSignature, r, k: int):
-    """``r x^k mod c``; a zero residue is returned as it is.  Up to
+    """``r x^k mod c``; a zero residue or ``k`` returns ``r`` as it is.  Up to
     ``STEP_LIMIT`` steps, :func:`_reduce` cancels the Laurent polynomial
     ``p x^k`` in one pass, for either sign of ``k``.  Beyond the limit,
     ``r`` is multiplied by square-and-multiply from the one-step base
@@ -218,7 +215,7 @@ def _times_x_power(c: GcSignature, r, k: int):
     raised instead of squaring a base whose square would pass
     ``RESIDUE_BITS_BUDGET`` bits (twice the bits of its numerators and
     denominator); each base is canonical, so this measures the residue."""
-    if not any(r[0]):
+    if not (k and any(r[0])):
         return r
     if abs(k) <= STEP_LIMIT:
         return _reduce(c, [0] * max(k, 0) + list(r[0]), r[1], min(k, 0))
@@ -242,7 +239,7 @@ def _shift_add(c: GcSignature, r, k: int, v):
     if not any(r[0]):
         return v
     (p, dp), (q, dq) = _times_x_power(c, r, k), v
-    return tuple(x * dq + y * dp for x, y in zip(p, q)), dp * dq
+    return tuple([x * dq + y * dp for x, y in zip(p, q)]), dp * dq
 
 
 def _residue(translation: Sequence[Scalar]):
@@ -255,11 +252,15 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 
 
 def _element(pair, shift: int) -> GcElement:
-    """The element of residue ``pair``, in any form, stored canonical, and
-    integer ``shift``, which need no check, so ``GcElement.__post_init__`` is
-    skipped; its ``translation`` is built when first read."""
-    element = object.__new__(GcElement)
-    element.__dict__.update(shift=shift, _pair=_canonical(pair))
+    """The element of residue ``pair``, in any form, stored canonical as by
+    :func:`_canonical` (a pair whose gcd is 1 as it is), and integer ``shift``;
+    neither needs a check, so ``GcElement.__post_init__`` is skipped, and
+    ``translation`` is built when first read.  No field goes through
+    ``__dict__``, which would make every later read a dict lookup."""
+    (nums, den), element = pair, object.__new__(GcElement)
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    object.__setattr__(element, "shift", shift)
+    object.__setattr__(element, "_pair", pair if g == 1 else (tuple([x // g for x in nums]), den // g))
     return element
 
 
@@ -282,10 +283,16 @@ def _require_same_signature(c: GcSignature, element: GcElement):
 
 
 def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
-    """Product: ``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``."""
-    _require_same_signature(c, g)
-    _require_same_signature(c, h)
-    return _element(_shift_add(c, g._pair, h.shift, h._pair), g.shift + h.shift)
+    """Product: ``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``, with
+    :func:`_shift_add` written out; one length test covers both operands."""
+    (p, dp), (q, dq), k = g._pair, h._pair, h.shift
+    if len(p) != c.s or len(q) != c.s:
+        _require_same_signature(c, g)
+        _require_same_signature(c, h)
+    if any(p):  # else the product's pair is h's
+        p, dp = _times_x_power(c, (p, dp), k)
+        q, dq = tuple([x * dq + y * dp for x, y in zip(p, q)]), dp * dq
+    return _element((q, dq), g.shift + k)
 
 
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:

@@ -132,6 +132,10 @@ class Matrix:
     def __hash__(self) -> int:
         return hash(self._data)
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot save __slots__, so copies are rebuilt
+        return self.__class__, (self._data,)
+
     def __repr__(self) -> str:
         body = ", ".join(repr(list(row)) for row in self._data)
         return f"Matrix([{body}])"
@@ -287,12 +291,13 @@ def snf(matrix: Matrix) -> SNFResult:
     pivot, the offending row is folded in and the reduction restarted, so
     the divisibility chain holds by construction.
 
-    Each sweep reads all column quotients off row k first (column k and
-    the rest of row k stay put meanwhile) and gives each work row with a
-    nonzero pivot-column entry its column steps in one pass; the pivot is
-    the first least of the per-row minima; a pivot of 1, which divides
-    everything, skips the offender scan.  These are the pivots and steps
-    of an entry-at-a-time sweep, in its order, so the output is the same.
+    Each sweep reads all column quotients off the pivot row ``top`` first
+    (column k and the rest of row k stay put meanwhile) and gives each row
+    from k down (those above are zero in column k) its column steps in one
+    pass; the pivot is the first least of the per-row minima; row and
+    column k are tested on slices; a pivot of 1 skips the offender scan.
+    These are the pivots and steps of an entry-at-a-time sweep, in its
+    order, so the output is the same.
 
     All steps act on one work array that starts as ``[[M, I], [I, 0]]``.
     Row steps touch only the top ``rows`` rows and column steps only the
@@ -311,18 +316,14 @@ def snf(matrix: Matrix) -> SNFResult:
     if not matrix.is_integer:
         raise ValueError("snf is defined for integer matrices only")
     rows, cols = matrix.rows, matrix.cols
-    w = [
-        list(row) + [int(i == j) for j in range(rows)]
-        for i, row in enumerate(matrix.rows_as_tuples())
-    ]
-    w += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    n = rows + cols
+    unit = [0] * n + [1] + [0] * n  # unit[n - i :][:m] is row i of the m x m identity
+    w = [list(row) + unit[n - i : n - i + rows] for i, row in enumerate(matrix.rows_as_tuples())]
+    w += [unit[n - i : 2 * n - i] for i in range(cols)]
 
-    def add_row_multiple(dst, src, q):
-        # row_dst += q * row_src
-        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
-
-    def select_pivot(k) -> bool:
-        # smallest |entry|, the first in row-major order on ties
+    def select_pivot(k):
+        # smallest |entry|, the first in row-major order on ties; it is
+        # moved to (k, k), made positive, and its row is returned
         best, bi = math.inf, None
         for i in range(k, rows):
             low = min(map(abs, filter(None, w[i][k:cols])), default=math.inf)
@@ -331,58 +332,48 @@ def snf(matrix: Matrix) -> SNFResult:
                 if low == 1:
                     break
         if bi is None:
-            return False
-        j = next(j for j in range(k, cols) if abs(w[bi][j]) == best)
+            return None
         w[k], w[bi] = w[bi], w[k]
+        top, j = w[k], k + list(map(abs, w[k][k:cols])).index(best)
         if j != k:
             for row in w:
                 row[k], row[j] = row[j], row[k]
-        if w[k][k] < 0:
-            w[k] = [-x for x in w[k]]
-        return True
+        if top[k] < 0:
+            top = w[k] = [-x for x in top]
+        return top
 
     for k in range(min(rows, cols)):
-        if not select_pivot(k):
+        if (top := select_pivot(k)) is None:
             break
         while True:
             # One reduction sweep: quotient steps against the current pivot
             # leave remainders in place; they are strictly smaller than the
             # pivot, so re-selecting keeps the pivot shrinking and the
             # entries tame.
-            pivot = w[k][k]
+            pivot = top[k]
             for i in range(k + 1, rows):
-                if w[i][k] != 0:
-                    q = w[i][k] // pivot
-                    if q:
-                        add_row_multiple(i, k, -q)
+                row = w[i]
+                if row[k] and (q := row[k] // pivot):
+                    w[i] = [x - q * y for x, y in zip(row, top)]
             # column j gets -q_j times column k, all in one pass per row
-            steps = [(j, q) for j, x in enumerate(w[k][k + 1 : cols], k + 1) if (q := -(x // pivot))]
-            for row in w:
+            steps = [(j, q) for j, x in enumerate(top[k + 1 : cols], k + 1) if (q := -(x // pivot))]
+            for row in w[k:] if steps else ():  # rows above k are zero in column k
                 x = row[k]
                 if x:
                     for j, q in steps:
                         row[j] += q * x
-            if any(w[i][k] for i in range(k + 1, rows)) or any(
-                w[k][j] for j in range(k + 1, cols)
-            ):
-                select_pivot(k)
+            if any(top[k + 1 : cols]) or any(map(operator.itemgetter(k), w[k + 1 : rows])):
+                top = select_pivot(k)
                 continue
             if pivot == 1:
                 break  # 1 divides every entry: there is no offender to find
-            offender = next(
-                (
-                    i
-                    for i in range(k + 1, rows)
-                    if any(x % pivot for x in w[i][k + 1 : cols])
-                ),
-                None,
-            )
+            offender = next((row for row in w[k + 1 : rows]
+                             if any(x % pivot for x in row[k + 1 : cols])), None)
             if offender is None:
                 break
-            add_row_multiple(k, offender, 1)
+            top = w[k] = [x + y for x, y in zip(top, offender)]
 
-    diagonal = (w[i][i] for i in range(min(rows, cols)))
-    factors = tuple(itertools.takewhile(lambda d: d != 0, diagonal))
+    factors = tuple(itertools.takewhile(bool, [w[i][i] for i in range(min(rows, cols))]))
     smith = [row[:cols] for row in w[:rows]]
     left = [row[cols:] for row in w[:rows]]
     right = [row[:cols] for row in w[rows:]]

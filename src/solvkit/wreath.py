@@ -86,12 +86,14 @@ def _normalize_support(
 def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathElement:
     """The element of ``lamps``, reduced modulo ``modulus``, zero-free and
     sorted, and ``shift``.  Products of checked elements need no check, so
-    ``__post_init__`` is skipped."""
+    ``__post_init__`` is skipped.  The fields are set one by one, as
+    ``__dict__`` would turn every later read into a dict lookup."""
     if modulus is not None:
         lamps = {pos: val % modulus for pos, val in lamps.items()}
     element = object.__new__(WreathElement)
-    support = tuple(sorted(item for item in lamps.items() if item[1]))
-    element.__dict__.update(support=support, shift=shift, modulus=modulus)
+    object.__setattr__(element, "support", tuple(sorted(item for item in lamps.items() if item[1])))
+    object.__setattr__(element, "shift", shift)
+    object.__setattr__(element, "modulus", modulus)
     return element
 
 

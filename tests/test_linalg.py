@@ -304,7 +304,7 @@ class TestSNFAgainstReference:
             assert_same_as_reference(m)
 
     @pytest.mark.parametrize("c", [(2, -1), (3, -7, 5, 2), (1, 3, 0, -2, 1), (2, 1, -3), (5, -3, 4, -2, 5)])
-    @pytest.mark.parametrize("m", [20, 60])
+    @pytest.mark.parametrize("m", [20, 60, 1, 3, 6])  # 1 to 6 are the sizes of ``verify all``
     def test_bands(self, c, m):
         assert_same_as_reference(band_matrix(GcSignature(c), m))
 

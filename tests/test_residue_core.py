@@ -107,6 +107,23 @@ class TestAgainstEagerReference:
                     folded = GcElement(tuple(Fraction(x, pair[1]) for x in pair[0]), folded.shift + step.shift)
                 assert gc_pow(c, g, n) == folded, (c, g, n)
 
+    def test_product_edges(self):
+        # shift 0 skips the shift, +-STEP_LIMIT is the last one-pass shift and
+        # +-(STEP_LIMIT + 1) the first by square-and-multiply; a zero left
+        # residue gives the right one's pair
+        rng = random.Random(1210)
+        edges = [0, STEP_LIMIT, -STEP_LIMIT, STEP_LIMIT + 1, -(STEP_LIMIT + 1)]
+        for c in signatures(rng, 10):
+            zero = GcElement((0,) * c.s, rng.randint(-5, 5))
+            for k in edges:
+                h = GcElement(random_translation(rng, c.s), k)
+                for g in (random_element(rng, c), zero):
+                    expected = ref._shift_add(c, _residue(g.translation), k, _residue(h.translation))
+                    product = gc_mul(c, g, h)
+                    assert product._pair == expected and product.shift == g.shift + k, (c, g, h)
+                    assert product == GcElement(tuple(Fraction(x, expected[1]) for x in expected[0]), g.shift + k)
+                assert gc_mul(c, zero, h)._pair == h._pair
+
 
 class TestResidueBudget:
     # (c, the shifts that answer, the shifts that are refused): the last
@@ -228,12 +245,17 @@ class TestElementResidue:
         c, wide = GcSignature((2, -1)), GcSignature((1, 0, 1))
         message = "element has translation length 2, signature expects 1"
         for element in (GcElement((0, 0), 0), gc_mul(wide, gc_eval(wide, "b a"), gc_eval(wide, "a b"))):
-            with pytest.raises(ValueError) as caught:
-                gc_mul(c, gc_identity(c), element)
-            assert str(caught.value) == message
+            for operands in [(gc_identity(c), element), (element, gc_identity(c)), (element, element)]:
+                with pytest.raises(ValueError) as caught:
+                    gc_mul(c, *operands)
+                assert str(caught.value) == message
             with pytest.raises(ValueError) as caught:
                 gc_inv(c, element)
             assert str(caught.value) == message
+        # both operands wrong: the first one's length is reported
+        with pytest.raises(ValueError) as caught:
+            gc_mul(c, GcElement((0, 0, 0), 0), GcElement((0, 0), 0))
+        assert str(caught.value) == "element has translation length 3, signature expects 1"
 
     def test_harness_checks_only_the_signatures_it_builds(self, monkeypatch):
         # every signature checked during a harness run is one the harness built
