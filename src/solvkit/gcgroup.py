@@ -152,15 +152,16 @@ def companion_action(c: GcSignature) -> Matrix:
     return solvkit.linalg.Matrix(rows)
 
 
-def _reduce(c: GcSignature, nums: Sequence[int], den: int, low: int = 0):
+def _reduce(c: GcSignature, nums: list[int], den: int, low: int = 0):
     """``(sum_j nums[j] x^(j + low)) / den mod c``, for ``low <= 0``, as
     ``s`` integer numerators over one denominator: terms of degree ``s`` and
     up are cancelled against ``c_s``, and terms below ``x^0`` against ``c_0``.
     No gcd is taken, so the pair need not be in lowest terms, and its
     denominator is negative when an odd number of steps scaled by a negative
-    ``c_s`` or ``c_0``; :func:`_canonical` gives the one pair of each residue."""
-    coeffs, s, nums = c.coeffs, c.s, list(nums)
-    lead, tail = coeffs[s], coeffs[0]
+    ``c_s`` or ``c_0``; :func:`_canonical` gives the one pair of each residue.
+    It consumes ``nums``, so every caller passes a list of its own."""
+    coeffs, s = c.coeffs, c.s
+    lead, tail, high = coeffs[s], coeffs[0], coeffs[1:]
     for _ in range(len(nums) - s + low):
         # Cancel the top term with a multiple of c, scaling by c_s unless it divides.
         q = nums.pop()
@@ -181,7 +182,7 @@ def _reduce(c: GcSignature, nums: Sequence[int], den: int, low: int = 0):
             nums, den = [tail * x for x in nums], den * tail
         else:
             q //= tail
-        nums[:s] = [x - q * y for x, y in zip(nums, coeffs[1:])]
+        nums[:s] = [x - q * y for x, y in zip(nums, high)]
     return tuple(nums), den
 
 
@@ -193,14 +194,19 @@ def _canonical(r):
     return tuple([x // g for x in nums]), den // g
 
 
-def _mul(c: GcSignature, a, b):
-    (p, dp), (q, dq) = a, b
+def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The coefficients of the product of the polynomials ``p`` and ``q``."""
     prod = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         if x:
             for j, y in enumerate(q):
                 prod[i + j] += x * y
-    return _reduce(c, prod, dp * dq)
+    return prod
+
+
+def _mul(c: GcSignature, a, b):
+    (p, dp), (q, dq) = a, b
+    return _reduce(c, _convolve(p, q), dp * dq)
 
 
 def _times_x_power(c: GcSignature, r, k: int):
@@ -218,7 +224,7 @@ def _times_x_power(c: GcSignature, r, k: int):
     if not (k and any(r[0])):
         return r
     if abs(k) <= STEP_LIMIT:
-        return _reduce(c, [0] * max(k, 0) + list(r[0]), r[1], min(k, 0))
+        return _reduce(c, [*(0,) * k, *r[0]], r[1], min(k, 0))
     base, n = _canonical(_times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1)), abs(k)
     while n:
         if n & 1:
@@ -243,12 +249,12 @@ def _shift_add(c: GcSignature, r, k: int, v):
 
 
 def _residue(translation: Sequence[Scalar]):
-    den = math.lcm(*(x.denominator for x in translation))
-    return tuple(x.numerator * (den // x.denominator) for x in translation), den
+    den = math.lcm(*[x.denominator for x in translation])
+    return tuple([x.numerator * (den // x.denominator) for x in translation]), den
 
 
 def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
-    return tuple(Fraction(x, den) if x % den else x // den for x in nums)
+    return tuple([Fraction(x, den) if x % den else x // den for x in nums])
 
 
 def _element(pair, shift: int) -> GcElement:
@@ -378,64 +384,58 @@ def relator_check(c: GcSignature) -> bool:
     )
 
 
-def _totient(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _divide_monic(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
-    """The quotient ``f / g`` in Z[x] for monic ``g`` (coefficients ascending,
-    ``len(f) >= len(g)``), or ``None`` when ``g`` does not divide ``f``."""
-    f, q = list(f), [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = f[k + len(g) - 1]
-        if q[k]:
-            for j, y in enumerate(g):
-                f[k + j] -= q[k] * y
-    return None if any(f) else q
-
-
 def gc_is_proper(c: GcSignature) -> bool:
     """True when the group is not virtually abelian.
 
     The group is virtually abelian exactly when ``x^n = 1 mod c`` for some
     ``n > 0``, and by Kronecker's theorem (1857) that holds exactly when
-    ``c`` is ``+-`` a product of *distinct* cyclotomic polynomials ``Phi_d``.
+    ``c`` is ``+-`` a product of *distinct* cyclotomic polynomials ``Phi_m``.
     Such a product has ``c_0, c_s = +-1`` and is its own reversal up to
-    sign, which settles most signatures at once; the rest are divided in
-    Z[x] by each ``Phi_d`` with ``phi(d)`` at most the remaining degree, once
-    and for ``d`` ascending, and are virtually abelian iff ``+-1`` remains.
-    ``phi(d) >= sqrt(d / 2)`` bounds the ``d`` to try by ``2 deg^2``.
+    sign, which settles most signatures at once.  The rest are root-squared
+    (Graeffe): ``f(x) = E(x^2) + x O(x^2)`` steps to ``g(y) = E(y)^2 - y O(y)^2``,
+    so ``g(x^2) = f(x) f(-x)`` has the squares of the roots of ``f``, and the
+    ``i``-th iterate has Mahler measure ``M(c)^(2^i)``.  A product of
+    ``Phi_m`` has only roots of modulus 1, and so have its iterates, whose
+    coefficients ``+-e_k(roots)`` are thus at most ``C(s, s // 2)``: an
+    iterate above that proves ``c`` proper, and one comes unless ``M(c) = 1``,
+    as ``M(f) <= sqrt(s + 1) max |f_k|``.  An iterate equal to the previous
+    one up to sign has roots closed under squaring, so each root ``r != 0``
+    has ``r^(2^a) = r^(2^b)`` for some ``a < b`` and is a root of unity; so is
+    every root of ``c``, which is then ``+-`` a product of ``Phi_m`` (whose
+    iterates stop changing once every root has odd order).  Its factors are
+    distinct iff ``gcd(c, c') = 1``, tested modulo ``p = 2^61 - 1``: each
+    ``Phi_m | c`` has ``sqrt(m / 2) <= phi(m) <= s``, so ``m <= 2 s^2 < p``
+    (``s < 2^30``), and all such ``Phi_m`` divide ``x^L - 1`` for their lcm
+    ``L``, which is squarefree modulo ``p``: they stay squarefree and coprime.
     """
-    coeffs = c.coeffs
+    coeffs, s = c.coeffs, c.s
     if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
         return True
     if coeffs[::-1] not in (coeffs, tuple(-x for x in coeffs)):
         return True
-    rest, phis, d = list(coeffs), {}, 1
-    while len(rest) > 1 and d <= 2 * (len(rest) - 1) ** 2:
-        if _totient(d) < len(rest):
-            # {d : phi(d) <= n} is closed under divisors, so every Phi_e with
-            # e | d is built: Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e.
-            phi = [-1] + [0] * (d - 1) + [1]
-            for e in range(1, d):
-                if d % e == 0:
-                    phi = _divide_monic(phi, phis[e])
-            phis[d] = phi
-            quotient = _divide_monic(rest, phi)
-            rest = rest if quotient is None else quotient
-        d += 1
-    return len(rest) > 1
+    f, bound = list(coeffs), math.comb(s, s // 2)
+    while True:
+        g = _convolve(f[::2], f[::2]) + [0] * (s % 2)
+        for k, x in enumerate(_convolve(f[1::2], f[1::2]), 1):
+            g[k] -= x
+        if max(map(abs, g)) > bound:
+            return True
+        if g == f or [-x for x in g] == f:
+            break
+        f = g
+    # Euclid modulo p on c and c', ascending: a, b = b, a mod b until b = 0.
+    p = 2**61 - 1
+    a, b = [x % p for x in coeffs], [k * x % p for k, x in enumerate(coeffs)][1:]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a.pop() * inv % p
+            k = len(a) - len(b) + 1
+            a[k:] = [(x - q * y) % p for x, y in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) > 1
 
 
 def gc_abelianization(c: GcSignature) -> tuple[int, tuple[int, ...]]:

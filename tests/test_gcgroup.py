@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from properness_reference import _divide_monic, trial_division_is_proper
 from window_search import stable_image_cardinality, window_search_index
 
 from solvkit.gcgroup import (
@@ -350,6 +351,60 @@ class TestProperness:
         start = time.process_time()
         assert gc_is_proper(c)
         assert time.process_time() - start < 0.05
+
+    @pytest.mark.parametrize(
+        "coeffs, proper",
+        [((1, 3) + (0,) * 997 + (3, 1), True), ((-1,) + (0,) * 1999 + (1,), False),
+         ((1,) * 1001, False)],
+        ids=["palindrome-1000", "x^2000-1", "ones-1001"],
+    )
+    def test_high_degree_answers_promptly(self, coeffs, proper):
+        start = time.process_time()
+        assert gc_is_proper(GcSignature(coeffs)) == proper
+        assert time.process_time() - start < 2
+
+    def test_against_trial_division(self):
+        def times(f, g):
+            out = [0] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+            return out
+
+        phis = {}
+        for d in range(1, 41):
+            phi = [-1] + [0] * (d - 1) + [1]
+            for e in range(1, d):
+                if d % e == 0:
+                    phi = _divide_monic(phi, phis[e])
+            phis[d] = phi
+        rng = random.Random(107)
+        # (coefficients, the answer, or None where only the oracle knows it)
+        cases, exits = [], {"bound": 0, "distinct": 0, "repeated": 0}
+        for _ in range(160):
+            ds = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                ds.append(rng.choice(ds))
+            f = [1]
+            for d in ds:
+                f = times(f, phis[d])
+            proper = len(set(ds)) < len(ds)
+            if rng.random() < 0.3:
+                # A quadratic with a root off the unit circle: a palindromic
+                # one passes both fast exits and ends at the coefficient bound.
+                end = rng.choice((1, -1))
+                f, proper = times(f, [1, rng.choice((-4, -3, 3, 4)), end]), True
+                exits["bound"] += end == 1
+            else:
+                exits["repeated" if proper else "distinct"] += 1
+            sign = rng.choice((1, -1))
+            cases.append((tuple(sign * x for x in f), proper))
+        cases += [(random_signature(rng, s_max=8, coeff_bound=3).coeffs, None) for _ in range(300)]
+        assert min(exits.values()) >= 10
+        for coeffs, expected in cases:
+            answer = gc_is_proper(GcSignature(coeffs))
+            assert answer == trial_division_is_proper(coeffs), coeffs
+            assert expected is None or answer == expected, coeffs
 
     def test_examples(self):
         assert gc_is_proper(GcSignature((2, -1)))

@@ -63,7 +63,12 @@ json.dump(results, sys.stdout)
 
 # Products of distinct cyclotomic polynomials: virtually abelian, and x^N
 # stays small however large N is.  The residue budget refuses the others.
-CYCLOTOMIC = ["1,1", "1,-1", "1,0,1", "1,1,1", "1,-1,1", "-1,0,0,1", "1,0,0,0,1"]
+# Then products with a repeated factor, (x - 1)^2, Phi_3^2, Phi_4^2 and
+# -Phi_6^3, and Lehmer's polynomial, which has a root off the unit circle:
+# each passes the fast exits of properness and reaches its root-squaring.
+CYCLOTOMIC = ["1,1", "1,-1", "1,0,1", "1,1,1", "1,-1,1", "-1,0,0,1", "1,0,0,0,1",
+              "1,-2,1", "1,2,3,2,1", "1,0,2,0,1", "-1,3,-6,7,-6,3,-1",
+              "1,1,0,-1,-1,-1,-1,-1,0,1,1"]
 EDGE_SIGNATURES = ["2,-1", "-2,3", "3,-7,5,2", "1,3,-2"]
 EDGE_SHIFTS = [2**17, 2**18 - 1, 2**18, 2**19 - 1, 2**19, 2**20 - 1, 2**20, 10**20]
 # R = b^2 a^-1 b^-1 a is the relator of 2,-1; N has 20 digits.
