@@ -1,14 +1,15 @@
-"""The base of the immutable value classes, kept out of ``__init__.py`` so
-that ``import solvkit`` alone does not compile it."""
+"""The base of the immutable value classes, the one int check and the one
+square-and-multiply, kept out of ``__init__.py`` so that ``import solvkit``
+alone does not compile them."""
 
 from operator import attrgetter as _attrgetter
 
 
 class _Value:
     """Base of the immutable value classes.  A subclass's ``__init__`` takes the
-    fields (``__match_args__``), stores each with ``object.__setattr__`` and calls
-    ``self.__post_init__()`` for any checks.  Equality, hash and repr read the
-    fields; assigning or deleting an attribute raises ``AttributeError``."""
+    fields (``__match_args__``), checks them and stores each with
+    ``object.__setattr__``.  Equality, hash and repr read the fields; assigning
+    or deleting an attribute raises ``AttributeError``."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
@@ -33,3 +34,23 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _int_only(value, what: str) -> int:
+    """``value`` if it is an ``int`` and no ``bool``, else ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _power(mul, one, g, n: int):
+    """``g^n`` for ``n >= 0`` by square-and-multiply, under the product
+    ``mul`` with identity ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, g)
+        n >>= 1
+        if n:
+            g = mul(g, g)
+    return result

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import solvkit
 
-from ._value import _Value
+from ._value import _int_only, _power, _Value
 from .words import GeneratorWord, parse_word, word_lamps
 
 # The functions that use ``linalg`` read it as ``solvkit.linalg``, so the
@@ -80,28 +80,21 @@ class GcElement(_Value):
     v"; the product is ``(v1, k1) (v2, k2) = (v1 x^k2 + v2, k1 + k2)``,
     chosen so that evaluating ``a^-i b a^i`` yields ``(x^i, 0)``.
 
-    ``v`` is also kept as its canonical residue pair ``_pair``, which is no
-    field, so ``hash``, ``repr`` and ``__match_args__`` see only ``(v, k)``; ``==``
-    and ``is_identity`` read ``(k, _pair)``, which says the same, as each
-    residue has one canonical pair.  Every element the library computes
-    stores only its shift and pair, skips the scalar checks, and builds
-    ``translation`` from the pair on first read.
+    An element stores only its shift and ``v`` as its canonical residue pair
+    ``_pair``, which is no field, so ``hash``, ``repr`` and ``__match_args__``
+    see only ``(v, k)``; ``==`` and ``is_identity`` read ``(k, _pair)``, which
+    says the same, as each residue has one canonical pair.  ``translation`` is
+    built from the pair on first read.  The constructor checks its arguments;
+    every element the library computes skips the checks.
     """
 
     def __init__(self, translation: tuple[Scalar, ...], shift: int):
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "shift", shift)
-        self.__post_init__()
-
-    def __post_init__(self):
-        cleaned = tuple(map(solvkit.linalg.exact_scalar, self.translation))
-        object.__setattr__(self, "translation", cleaned)
-        if isinstance(self.shift, bool) or not isinstance(self.shift, int):
-            raise TypeError("shift must be an integer")
-        object.__setattr__(self, "_pair", _residue(cleaned))
+        pair = _residue([*map(solvkit.linalg.exact_scalar, translation)])
+        object.__setattr__(self, "shift", _int_only(shift, "shift"))
+        object.__setattr__(self, "_pair", pair)
 
     def __getattr__(self, name):
-        # Only reached while an element made by ``_element`` has no translation yet.
+        # Only reached while the element has no translation yet.
         if name != "translation":
             raise AttributeError(name)
         object.__setattr__(self, "translation", _scalars(*self._pair))
@@ -188,10 +181,10 @@ def _reduce(c: GcSignature, nums: list[int], den: int, low: int = 0):
 
 def _canonical(r):
     """The residue ``r`` in lowest terms with a positive denominator, so that
-    equal residues are equal pairs."""
+    equal residues are equal pairs; a pair whose gcd is 1 is ``r`` as it is."""
     nums, den = r
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-    return tuple([x // g for x in nums]), den // g
+    return r if g == 1 else (tuple([x // g for x in nums]), den // g)
 
 
 def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -258,15 +251,13 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 
 
 def _element(pair, shift: int) -> GcElement:
-    """The element of residue ``pair``, in any form, stored canonical as by
-    :func:`_canonical` (a pair whose gcd is 1 as it is), and integer ``shift``;
-    neither needs a check, so ``GcElement.__post_init__`` is skipped, and
-    ``translation`` is built when first read.  No field goes through
-    ``__dict__``, which would make every later read a dict lookup."""
-    (nums, den), element = pair, object.__new__(GcElement)
-    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    """The element of residue ``pair``, in any form, stored as its
+    :func:`_canonical` form, and integer ``shift``; neither needs the checks
+    of the constructor.  No field goes through ``__dict__``, which would make
+    every later read a dict lookup."""
+    element = object.__new__(GcElement)
     object.__setattr__(element, "shift", shift)
-    object.__setattr__(element, "_pair", pair if g == 1 else (tuple([x // g for x in nums]), den // g))
+    object.__setattr__(element, "_pair", _canonical(pair))
     return element
 
 
@@ -289,16 +280,12 @@ def _require_same_signature(c: GcSignature, element: GcElement):
 
 
 def gc_mul(c: GcSignature, g: GcElement, h: GcElement) -> GcElement:
-    """Product: ``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``, with
-    :func:`_shift_add` written out; one length test covers both operands."""
-    (p, dp), (q, dq), k = g._pair, h._pair, h.shift
-    if len(p) != c.s or len(q) != c.s:
+    """Product: ``(v1, k1)(v2, k2) = (v1 x^k2 + v2, k1 + k2)``; one length
+    test covers both operands."""
+    if len(g._pair[0]) != c.s or len(h._pair[0]) != c.s:
         _require_same_signature(c, g)
         _require_same_signature(c, h)
-    if any(p):  # else the product's pair is h's
-        p, dp = _times_x_power(c, (p, dp), k)
-        q, dq = tuple([x * dq + y * dp for x, y in zip(p, q)]), dp * dq
-    return _element((q, dq), g.shift + k)
+    return _element(_shift_add(c, g._pair, h.shift, h._pair), g.shift + h.shift)
 
 
 def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
@@ -312,13 +299,7 @@ def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
     """``g^n`` by square-and-multiply; negative n inverts first."""
     if n < 0:
         return gc_pow(c, gc_inv(c, g), -n)
-    result = gc_identity(c)
-    while n:
-        if n & 1:
-            result = gc_mul(c, result, g)
-        n >>= 1
-        g = gc_mul(c, g, g) if n else g
-    return result
+    return _power(lambda x, y: gc_mul(c, x, y), gc_identity(c), g, n)
 
 
 def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
@@ -516,7 +497,10 @@ def base_membership(
     vector's denominator, as then no integer combination can equal it.  A
     found witness is verified exactly before being returned.  Window ``j``
     solves an ``s x (2j + s)`` system, so ``j_max`` above
-    ``MEMBERSHIP_WINDOW_BUDGET`` is refused with ``ValueError``.
+    ``MEMBERSHIP_WINDOW_BUDGET`` is refused with ``ValueError``.  Window ``j``
+    is window ``j - 1`` with ``x^-j`` and ``x^(j+s-1)`` added, each one step
+    from its neighbour, and window 0 holds ``x^0 .. x^(s-1)``, whose
+    denominators are 1.
     """
     linalg = solvkit.linalg
     target = tuple(linalg.exact_scalar(x) for x in vector)
@@ -527,11 +511,14 @@ def base_membership(
     if j_max > MEMBERSHIP_WINDOW_BUDGET:
         raise ValueError(f"j_max {j_max} is over the budget of {MEMBERSHIP_WINDOW_BUDGET}")
     target_nums, target_den = _residue(target)
-    one = _reduce(c, [1], 1)
+    residues, den = [_reduce(c, [1], 1)], 1
+    while len(residues) < c.s:
+        residues.append(_canonical(_times_x_power(c, residues[-1], 1)))
     for j in range(j_max + 1):
-        powers = list(range(-j, j + c.s))
-        residues = [_canonical(_times_x_power(c, one, i)) for i in powers]
-        den = math.lcm(*(d for _, d in residues))
+        if j:
+            residues.insert(0, _canonical(_times_x_power(c, residues[0], -1)))
+            residues.append(_canonical(_times_x_power(c, residues[-1], 1)))
+            den = math.lcm(den, residues[0][1], residues[-1][1])
         if den % target_den:
             continue
         columns = linalg.Matrix(
@@ -541,7 +528,7 @@ def base_membership(
         solution = linalg.solve_integer_system(columns, rhs)
         if solution is not None:
             witness = tuple(
-                (power, coeff) for power, coeff in zip(powers, solution) if coeff
+                (power, coeff) for power, coeff in zip(range(-j, j + c.s), solution) if coeff
             )
             found = _canonical(_times_x_power(c, *_lamp_residue(c, dict(witness))))
             if found != (target_nums, target_den):

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._value import _Value
+from ._value import _power, _Value
 
 
 class DimensionError(ValueError):
@@ -167,7 +167,7 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
             return Matrix(_product(self._data, other._data, other.cols))
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Matrix([[x * other for x in row] for row in self._data])
         return NotImplemented
 
@@ -480,14 +480,7 @@ def mat_pow(matrix: Matrix, exponent: int) -> Matrix:
     if not matrix.is_square:
         raise DimensionError("matrix power needs a square matrix")
     base = matrix.inverse() if exponent < 0 else matrix
-    n = abs(exponent)
-    result = Matrix.identity(matrix.rows)
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return result
+    return _power(operator.mul, Matrix.identity(matrix.rows), base, abs(exponent))
 
 
 def _primes_up_to(n: int) -> list[int]:

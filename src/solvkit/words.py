@@ -2,8 +2,8 @@
 
 Grammar: a word is a sequence of terms, a term is a generator letter with
 an optional caret exponent (``a``, ``b^-3``, ``a^0``).  Whitespace
-separates terms and is otherwise ignored.  :meth:`GeneratorWord.from_letters`
-and :func:`parse_word` normalize: zero exponents vanish and adjacent powers
+separates terms and is otherwise ignored.  :class:`GeneratorWord` and
+:func:`parse_word` normalize: zero exponents vanish and adjacent powers
 of the same generator merge, so ``a^2 a^-2 b`` and ``b`` give the same word.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from ._value import _Value
+from ._value import _int_only, _Value
 
 GENERATORS = ("a", "b")
 _TERM = re.compile(r"[ab](?:\^-?\d+)?")
@@ -30,25 +30,24 @@ class WordParseError(ValueError):
 
 
 class GeneratorWord(_Value):
-    """A normalized word: tuple of (generator, nonzero exponent) pairs."""
+    """A normalized word: tuple of (generator, nonzero exponent) pairs.  It is
+    built from raw pairs, merging and dropping as needed; every exponent must
+    be an ``int`` (``bool`` is refused)."""
 
-    def __init__(self, letters: tuple[tuple[str, int], ...] = ()):
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters: Iterable[tuple[str, int]] = ()):
+        letters = list(letters)
+        for gen, exp in letters:
+            if gen not in GENERATORS:
+                raise ValueError(f"unknown generator {gen!r}")
+            _int_only(exp, "exponent")
+        object.__setattr__(self, "letters", _merge(letters))
 
     @classmethod
     def from_letters(cls, pairs: Iterable[tuple[str, int]]) -> "GeneratorWord":
-        """Build a word from raw pairs, merging and dropping as needed; every
-        exponent must be an ``int`` (``bool`` is refused)."""
-        pairs = list(pairs)
-        for gen, exp in pairs:
-            if gen not in GENERATORS:
-                raise ValueError(f"unknown generator {gen!r}")
-            if isinstance(exp, bool) or not isinstance(exp, int):
-                raise TypeError(f"exponent must be an integer, got {type(exp).__name__}")
-        return cls(_merge(pairs))
+        return cls(pairs)
 
     def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def concat(self, other: "GeneratorWord") -> "GeneratorWord":
         return GeneratorWord.from_letters(self.letters + other.letters)
@@ -62,6 +61,14 @@ class GeneratorWord(_Value):
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+def _word(letters: tuple[tuple[str, int], ...]) -> GeneratorWord:
+    """The word of ``letters``, already normalized, without the checks and
+    the merge of the constructor."""
+    word = object.__new__(GeneratorWord)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 def _merge(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -87,7 +94,7 @@ def parse_word(text: str) -> GeneratorWord:
         if not _TERM.fullmatch(term):
             raise _first_error(text)
         table[term] = (term[0], int(term[2:]) if len(term) > 1 else 1)
-    return GeneratorWord(_merge(map(table.__getitem__, terms)))
+    return _word(_merge(map(table.__getitem__, terms)))
 
 
 def _first_error(text: str) -> WordParseError:

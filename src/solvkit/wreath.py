@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ._value import _Value
+from ._value import _int_only, _power, _Value
 from .words import GeneratorWord, parse_word, word_lamps
 
 
@@ -61,12 +61,6 @@ class WreathElement(_Value):
     @property
     def is_identity(self) -> bool:
         return not self.support and self.shift == 0
-
-
-def _int_only(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
-    return value
 
 
 def _normalize_support(
@@ -125,13 +119,7 @@ def wr_pow(g: WreathElement, n: int) -> WreathElement:
     """``g^n`` by square-and-multiply; negative n inverts first."""
     if n < 0:
         return wr_pow(wr_inv(g), -n)
-    result = WreathElement.identity(g.modulus)
-    while n:
-        if n & 1:
-            result = wr_mul(result, g)
-        n >>= 1
-        g = wr_mul(g, g) if n else g
-    return result
+    return _power(wr_mul, WreathElement.identity(g.modulus), g, n)
 
 
 def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElement:

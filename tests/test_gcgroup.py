@@ -8,6 +8,7 @@ import pytest
 from properness_reference import _divide_monic, trial_division_is_proper
 from window_search import stable_image_cardinality, window_search_index
 
+from solvkit import gcgroup
 from solvkit.gcgroup import (
     BAND_ROWS_BUDGET,
     DEFAULT_INDEX_WINDOW_CAP,
@@ -516,6 +517,42 @@ class TestBaseMembership:
             assert base_membership(c, vector, j_max).witness == expected, (c, vector, j_max)
             members += expected is not None
         assert members >= 30
+        # Deep windows: denominators made of the primes of c_0 c_s (2 and 3
+        # here), so that windows past STEP_LIMIT are solved and some hit.
+        deep = cases = 0
+        while cases < 10:
+            s = rng.randint(1, 3)
+            coeffs = [rng.choice((-1, 1)) * rng.randint(2, 4)] + [rng.randint(-3, 3) for _ in range(s - 1)]
+            coeffs.append(rng.choice((-1, 1)) * rng.randint(2, 4))
+            if math.gcd(*coeffs) != 1:
+                continue
+            c, cases = GcSignature(tuple(coeffs)), cases + 1
+            primes = [p for p in (2, 3) if coeffs[0] * coeffs[-1] % p == 0]
+            vector = [Fraction(rng.randint(-5, 5), math.prod(p ** rng.randint(0, 40) for p in primes))
+                      for _ in range(s)]
+            j_max = rng.randint(33, 50)
+            expected = solve_every_window(c, vector, j_max)
+            assert base_membership(c, vector, j_max).witness == expected, (c, vector, j_max)
+            deep += expected is not None and max(abs(power) for power, _ in expected) > STEP_LIMIT
+        assert deep >= 2
+
+    def test_miss_steps_its_windows(self, monkeypatch):
+        # Each window adds two powers, each one step from a neighbour: no
+        # square-and-multiply, however wide the windows get.  The second
+        # miss solves 36 of its windows, the others skip every window.
+        shift, steps = gcgroup._times_x_power, []
+
+        def counting(c, r, k):
+            steps.append(k)
+            return shift(c, r, k)
+
+        monkeypatch.setattr(gcgroup, "_times_x_power", counting)
+        for coeffs, vector in [((2, -1), [Fraction(1, 3)]), ((3, -1, 2), [Fraction(1, 6**12), Fraction(1, 6**15)]),
+                               ((1, 3, -2), [Fraction(1, 5), 0]), ((3, -7, 5, 1, -6, 2, 7), [Fraction(1, 11)] * 6)]:
+            c, steps[:] = GcSignature(coeffs), []
+            assert not base_membership(c, vector, MEMBERSHIP_WINDOW_BUDGET).is_member
+            assert len(steps) <= 2 * MEMBERSHIP_WINDOW_BUDGET + c.s + 2, coeffs
+            assert max(map(abs, steps)) <= STEP_LIMIT, coeffs
 
     def test_miss_on_foreign_denominator_is_cheap(self):
         # Window denominators are made of the primes of c_0 c_s = 21, so no
@@ -664,6 +701,13 @@ class TestTorsionFreeness:
         assert gc_pow(c, g, 0) == gc_identity(c)
         assert gc_pow(c, g, 3) == gc_mul(c, gc_mul(c, g, g), g)
         assert gc_pow(c, g, -2) == gc_inv(c, gc_mul(c, g, g))
+        for c, word in [(c, "a^2 b^-1"), (GcSignature((3, -1, 2)), "b a^-1 b^2 a^3")]:
+            g = gc_eval(c, word)
+            for n in range(-6, 7):
+                step, expected = g if n >= 0 else gc_inv(c, g), gc_identity(c)
+                for _ in range(abs(n)):
+                    expected = gc_mul(c, expected, step)
+                assert gc_pow(c, g, n) == expected, (c, word, n)
 
 
 class TestElementJson:

@@ -58,6 +58,14 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             Matrix(rows)
 
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_bool_scalar_rejected(self, scalar):
+        # as in the constructor, a bool is no int scalar
+        with pytest.raises(TypeError):
+            Matrix([[2]]) * scalar
+        with pytest.raises(TypeError):
+            scalar * Matrix([[2]])
+
     def test_integral_fractions_canonicalize_to_int(self):
         m = Matrix([[Fraction(4, 2), Fraction(1, 3)]])
         assert m[0, 0] == 2 and isinstance(m[0, 0], int)
@@ -459,6 +467,14 @@ class TestMatPow:
 
     def test_zero_power_is_identity(self):
         assert mat_pow(Matrix([[7, 1], [0, 2]]), 0) == Matrix.identity(2)
+
+    def test_matches_iteration(self):
+        a = Matrix([[2, 1, 0], [Fraction(1, 3), 1, -1], [0, 4, 1]])
+        for n in range(-6, 7):
+            step, expected = a if n >= 0 else a.inverse(), Matrix.identity(3)
+            for _ in range(abs(n)):
+                expected = expected * step
+            assert mat_pow(a, n) == expected, n
 
     def test_negative_power_of_singular_raises(self):
         with pytest.raises(SingularMatrixError):

@@ -24,6 +24,7 @@ from solvkit.gcgroup import (
     gc_pow,
 )
 from solvkit.gcgroup import _canonical, _element, _lamp_residue, _residue, _shift_add, _times_x_power
+from solvkit.linalg import exact_scalar
 from solvkit.verify import defining_relator_word, random_signature, random_word
 from solvkit.words import GeneratorWord
 from solvkit.wreath import word_lamps
@@ -207,9 +208,21 @@ class TestElementResidue:
                 assert computed.is_identity == (computed.shift == 0 and not any(computed._pair[0]))
                 assert "translation" not in vars(computed)
                 built = GcElement(computed.translation, computed.shift)
-                assert "translation" in vars(computed)
+                assert "translation" in vars(computed) and "translation" not in vars(built)
                 assert computed.translation == built.translation
                 assert [type(x) for x in computed.translation] == [type(x) for x in built.translation]
+        # A built element stores no translation either; read, it is the cleaned scalars.
+        for translation in [(Fraction(4, 2), Fraction(-3, 6)), (1, Fraction(1, 3), -2), (Fraction(0, 5),), ()]:
+            built = GcElement(translation, 3)
+            assert vars(built).keys() == {"shift", "_pair"}
+            cleaned = tuple(map(exact_scalar, translation))
+            assert built.translation == cleaned and "translation" in vars(built)
+            assert [type(x) for x in built.translation] == [type(x) for x in cleaned]
+
+    def test_shift_refusal_names_the_type(self):
+        for shift, name in [(1.0, "float"), (True, "bool"), ("1", "str")]:
+            with pytest.raises(TypeError, match=f"^shift must be an integer, got {name}$"):
+                GcElement((1,), shift)
 
     def test_equality_and_hash_across_builds(self):
         rng = random.Random(1207)

@@ -85,6 +85,26 @@ class TestWordAlgebra:
                 GeneratorWord.from_letters([("b", 1), ("a", 0), ("a", exp)])
         assert GeneratorWord.from_letters([["a", 2], ("b", 0), ("a", -1)]).letters == (("a", 1),)
 
+    def test_constructor_checks_and_normalizes(self):
+        # GeneratorWord(letters) is GeneratorWord.from_letters(letters)
+        with pytest.raises(ValueError, match="unknown generator 'x'"):
+            GeneratorWord((("x", 1),))
+        with pytest.raises(TypeError, match="exponent must be an integer, got float$"):
+            GeneratorWord((("b", 1.5),))
+        assert GeneratorWord((("a", 1), ("a", 1))) == GeneratorWord((("a", 2),))
+        word = GeneratorWord([["a", 2], ("b", 0), ("a", -1)])
+        assert word.letters == (("a", 1),) and hash(word) == hash(parse_word("a"))
+        assert GeneratorWord() == GeneratorWord([("b", 0)]) == parse_word("")
+
+    def test_parse_and_inverse_skip_the_constructor(self, monkeypatch):
+        def refuse(self, letters=()):
+            raise AssertionError("constructor called")
+
+        monkeypatch.setattr(GeneratorWord, "__init__", refuse)
+        word = parse_word("a^2 b^-1 a a^-1")
+        assert word.letters == (("a", 2), ("b", -1))
+        assert word.inverse().letters == (("b", 1), ("a", -2))
+
 
 def _outcome(parse, text):
     try:

@@ -126,6 +126,15 @@ class TestMultiplication:
         assert wr_mul(g, wr_inv(g)) == WreathElement.identity(5)
         assert wr_inv(WreathElement.from_support({1: -2}, 3)).support == ((-2, 2),)
 
+    def test_wr_pow_matches_iteration(self):
+        for modulus in (None, 5):
+            g = WreathElement.from_support({-1: 2, 3: -1}, 2, modulus)
+            for n in range(-6, 7):
+                step, expected = g if n >= 0 else wr_inv(g), WreathElement.identity(modulus)
+                for _ in range(abs(n)):
+                    expected = wr_mul(expected, step)
+                assert wr_pow(g, n) == expected, (modulus, n)
+
     def test_modulus_mismatch_is_refused_before_the_product(self):
         for left, right in [(None, 2), (2, None), (3, 5)]:
             with pytest.raises(ValueError, match=f"modulus mismatch: {left} vs {right}"):

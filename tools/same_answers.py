@@ -156,6 +156,14 @@ def corpus(seed: int) -> tuple[list[list[str]], dict[str, str]]:
             both("gc", "member", f"--c={c0},{c1}", f"--v={coeff * Fraction(-c0, c1) ** i}")
     both("gc", "member", "--c", "2,-1", "--v", "-1/2,3")
     both("gc", "member", "--c", "3,-7,5,2", "--v", "1/7,1/7,1/7", "--jmax", "3")
+    # Windows wider than gcgroup.STEP_LIMIT: hits at j = 40, the misses one
+    # window short of them, a miss that solves 36 windows and misses that
+    # skip every window.
+    for c, v, jmax in [("2,-1", "1/1099511627776", 40), ("2,-1", "1/1099511627776", 39),
+                       ("-2,0,-3", f"1/{2**20 * 3**10},1/{3**20}", 40),
+                       ("-2,0,-3", f"1/{2**20 * 3**10},1/{3**20}", 39), ("3,-1,2", f"1/{6**12},1/{6**15}", 50),
+                       ("2,-1", "1/3", 50), ("1,3,-2", "1/5,0", 50), ("3,-7,5,1,-6,2,7", ",".join(["1/11"] * 6), 33)]:
+        both("gc", "member", f"--c={c}", f"--v={v}", "--jmax", str(jmax))
 
     for name, text in MALFORMED.items():
         files[f"matrices/{name}.json"] = text
