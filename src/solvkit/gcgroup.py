@@ -303,20 +303,22 @@ def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
 
 
 def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
-    """``(sum_p lamps[p] x^(p - low) mod c, low)``.  Lit lamps at most
+    """``(sum_p lamps[p] x^(p - low) mod c, low)``.  A lamp of value ``v`` is
+    the residue ``((v, 0, ..., 0), 1)`` as it is.  Lit lamps at most
     ``STEP_LIMIT`` apart form a cluster, folded by Horner's rule from its
     highest lamp down; the clusters whose residue is nonzero are then folded
     the same way across the longer gaps, so ``low`` is the lowest lamp of the
     lowest such cluster (0 if there is none), ``x^low`` is never formed, and a
     cluster that cancels costs no ``x^gap`` at all."""
+    zeros = (0,) * (c.s - 1)
     clusters = []  # [residue, lowest lamp], from the highest cluster down
     for pos in sorted((pos for pos, val in lamps.items() if val), reverse=True):
-        lamp = _reduce(c, [lamps[pos]], 1)
+        lamp = ((lamps[pos], *zeros), 1)
         if clusters and clusters[-1][1] - pos <= STEP_LIMIT:
             clusters[-1] = [_shift_add(c, clusters[-1][0], clusters[-1][1] - pos, lamp), pos]
         else:
             clusters.append([lamp, pos])
-    residue, low = _reduce(c, [0], 1), 0
+    residue, low = ((0, *zeros), 1), 0
     for r, pos in clusters:
         if any(r[0]):
             residue, low = _shift_add(c, residue, low - pos, r), pos
@@ -369,20 +371,21 @@ def gc_is_proper(c: GcSignature) -> bool:
     """True when the group is not virtually abelian.
 
     The group is virtually abelian exactly when ``x^n = 1 mod c`` for some
-    ``n > 0``, and by Kronecker's theorem (1857) that holds exactly when
-    ``c`` is ``+-`` a product of *distinct* cyclotomic polynomials ``Phi_m``.
-    Such a product has ``c_0, c_s = +-1`` and is its own reversal up to
-    sign, which settles most signatures at once.  The rest are root-squared
-    (Graeffe): ``f(x) = E(x^2) + x O(x^2)`` steps to ``g(y) = E(y)^2 - y O(y)^2``,
-    so ``g(x^2) = f(x) f(-x)`` has the squares of the roots of ``f``, and the
-    ``i``-th iterate has Mahler measure ``M(c)^(2^i)``.  A product of
-    ``Phi_m`` has only roots of modulus 1, and so have its iterates, whose
-    coefficients ``+-e_k(roots)`` are thus at most ``C(s, s // 2)``: an
-    iterate above that proves ``c`` proper, and one comes unless ``M(c) = 1``,
-    as ``M(f) <= sqrt(s + 1) max |f_k|``.  An iterate equal to the previous
+    ``n > 0``, that is (Kronecker, 1857) when ``c`` is ``+-`` a product of
+    *distinct* cyclotomic polynomials ``Phi_m``.  Such a product has
+    ``c_0, c_s = +-1`` and is its own reversal up to sign, which settles
+    most signatures at once.  The rest are root-squared (Graeffe):
+    ``f(x) = E(x^2) + x O(x^2)`` steps to ``g(y) = E(y)^2 - y O(y)^2``,
+    whose roots are the squares of those of ``f``; the ``i``-th iterate
+    has Mahler measure ``M(c)^(2^i)``.  The iterates of a product of
+    ``Phi_m`` have roots of modulus 1, so ``|g_k| = |e_(s-k)| <= C(s, k)``,
+    and ``C(s, 1) = C(s, s - 1) = s``: an iterate with ``|g_1|`` or
+    ``|g_(s-1)|`` above ``s``, or a ``|g_k|`` above ``C(s, s // 2)``, proves
+    ``c`` proper, and one comes unless ``M(c) = 1``, as
+    ``M(f) <= sqrt(s + 1) max |f_k|``.  An iterate equal to the previous
     one up to sign has roots closed under squaring, so each root ``r != 0``
-    has ``r^(2^a) = r^(2^b)`` for some ``a < b`` and is a root of unity; so is
-    every root of ``c``, which is then ``+-`` a product of ``Phi_m`` (whose
+    has ``r^(2^a) = r^(2^b)`` for some ``a < b``: every root of ``c`` is a
+    root of unity, and ``c`` is ``+-`` a product of ``Phi_m`` (whose
     iterates stop changing once every root has odd order).  Its factors are
     distinct iff ``gcd(c, c') = 1``, tested modulo ``p = 2^61 - 1``: each
     ``Phi_m | c`` has ``sqrt(m / 2) <= phi(m) <= s``, so ``m <= 2 s^2 < p``
@@ -399,7 +402,7 @@ def gc_is_proper(c: GcSignature) -> bool:
         g = _convolve(f[::2], f[::2]) + [0] * (s % 2)
         for k, x in enumerate(_convolve(f[1::2], f[1::2]), 1):
             g[k] -= x
-        if max(map(abs, g)) > bound:
+        if abs(g[1]) > s or abs(g[-2]) > s or max(map(abs, g)) > bound:
             return True
         if g == f or [-x for x in g] == f:
             break

@@ -35,12 +35,12 @@ class GeneratorWord(_Value):
     be an ``int`` (``bool`` is refused)."""
 
     def __init__(self, letters: Iterable[tuple[str, int]] = ()):
-        letters = list(letters)
-        for gen, exp in letters:
+        pairs = []  # fresh tuples, so that no list pair reaches ``letters``
+        for gen, exp in list(letters):
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}")
-            _int_only(exp, "exponent")
-        object.__setattr__(self, "letters", _merge(letters))
+            pairs.append((gen, _int_only(exp, "exponent")))
+        object.__setattr__(self, "letters", _merge(pairs))
 
     @classmethod
     def from_letters(cls, pairs: Iterable[tuple[str, int]]) -> "GeneratorWord":
@@ -72,13 +72,23 @@ def _word(letters: tuple[tuple[str, int], ...]) -> GeneratorWord:
 
 
 def _merge(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Drop zero exponents and merge adjacent powers of checked pairs."""
+    """Drop zero exponents and merge adjacent powers of checked pairs, in one
+    stack pass.  A pair that merges with none is kept as the object it is,
+    so every pair must be a tuple; only a merge builds a new one.  ``gen`` is
+    the generator on top of the stack (``""`` when it is empty)."""
     merged: list[tuple[str, int]] = []
-    for gen, exp in pairs:
-        if merged and merged[-1][0] == gen:
-            exp += merged.pop()[1]
-        if exp:
-            merged.append((gen, exp))
+    gen = ""
+    for pair in pairs:
+        if pair[0] == gen:
+            exp = merged[-1][1] + pair[1]
+            if exp:
+                merged[-1] = (gen, exp)
+            else:
+                merged.pop()
+                gen = merged[-1][0] if merged else ""
+        elif pair[1]:
+            merged.append(pair)
+            gen = pair[0]
     return tuple(merged)
 
 
@@ -112,14 +122,22 @@ def _first_error(text: str) -> WordParseError:
 
 def word_lamps(word: GeneratorWord) -> tuple[dict[int, int], int]:
     """Lamp values (zeros kept) and shift of the word's image in Z wr Z, in
-    one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``."""
+    one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``.
+    A normalized word alternates its generators, so after a leading ``b``
+    the letters are read an ``a`` and a ``b`` at a time; an odd one out is
+    a trailing ``a``."""
+    letters = word.letters
     lamps, t = {}, 0
-    for gen, exp in word.letters:
-        if gen == "a":
-            t += exp
-        else:
-            lamps[-t] = lamps.get(-t, 0) + exp
-    return {pos + t: val for pos, val in lamps.items()}, t
+    if letters and letters[0][0] == "b":
+        lamps[0] = letters[0][1]
+        letters = letters[1:]
+    pairs = iter(letters)
+    for (_, a), (_, b) in zip(pairs, pairs):
+        t += a
+        lamps[t] = lamps.get(t, 0) + b
+    if len(letters) % 2:
+        t += letters[-1][1]
+    return {t - pos: val for pos, val in lamps.items()}, t
 
 
 def format_word(word: GeneratorWord) -> str:

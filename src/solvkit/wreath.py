@@ -29,8 +29,7 @@ class WreathElement(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.modulus is not None and _int_only(self.modulus, "modulus") < 2:
-            raise ValueError("modulus must be at least 2 (or None for Z lamps)")
+        _require_modulus(self.modulus)
         _int_only(self.shift, "shift")
         support = tuple(self.support)
         values = dict(support)
@@ -61,6 +60,11 @@ class WreathElement(_Value):
     @property
     def is_identity(self) -> bool:
         return not self.support and self.shift == 0
+
+
+def _require_modulus(modulus: int | None):
+    if modulus is not None and _int_only(modulus, "modulus") < 2:
+        raise ValueError("modulus must be at least 2 (or None for Z lamps)")
 
 
 def _normalize_support(
@@ -123,10 +127,14 @@ def wr_pow(g: WreathElement, n: int) -> WreathElement:
 
 
 def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElement:
-    """Evaluate a word in ``a`` (shift) and ``b`` (lamp at the origin)."""
+    """Evaluate a word in ``a`` (shift) and ``b`` (lamp at the origin).  Only
+    the modulus is checked, as the constructor would: the lamps of a word are
+    ints at distinct positions already."""
     if isinstance(word, str):
         word = parse_word(word)
-    return WreathElement.from_support(*word_lamps(word), modulus)
+    lamps, shift = word_lamps(word)
+    _require_modulus(modulus)
+    return _element(lamps, shift, modulus)
 
 
 def wr_is_identity(g: WreathElement) -> bool:

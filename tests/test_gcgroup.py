@@ -355,9 +355,9 @@ class TestProperness:
 
     @pytest.mark.parametrize(
         "coeffs, proper",
-        [((1, 3) + (0,) * 997 + (3, 1), True), ((-1,) + (0,) * 1999 + (1,), False),
-         ((1,) * 1001, False)],
-        ids=["palindrome-1000", "x^2000-1", "ones-1001"],
+        [((1, 3) + (0,) * 997 + (3, 1), True), ((1, 3) + (0,) * 5997 + (3, 1), True),
+         ((-1,) + (0,) * 1999 + (1,), False), ((1,) * 1001, False)],
+        ids=["palindrome-1000", "palindrome-6000", "x^2000-1", "ones-1001"],
     )
     def test_high_degree_answers_promptly(self, coeffs, proper):
         start = time.process_time()

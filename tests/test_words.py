@@ -5,10 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from solvkit.words import GeneratorWord, WordParseError, format_word, parse_word
-from word_reference import reference_letters
+from solvkit.words import GeneratorWord, WordParseError, format_word, parse_word, word_lamps
+from word_reference import reference_letters, reference_word_lamps
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HUGE = "7" * 4301  # one digit over Python's default limit for int(str)
@@ -198,3 +198,26 @@ def test_normalization_no_zero_or_adjacent(pairs):
         word.letters[i][0] != word.letters[i + 1][0]
         for i in range(len(word.letters) - 1)
     )
+
+
+letter_lists = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(min_value=-3, max_value=3)), max_size=24
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(letter_lists, letter_lists)
+@example([], [])
+@example([("b", 2), ("a", 1), ("b", -1), ("a", 3)], [("a", -3), ("b", 1), ("b", 0)])
+@example([("a", 1), ("b", 1), ("b", -1), ("a", -1), ("b", 4)], [("b", 1), ("b", -1)])
+def test_words_alternate_and_their_lamps_match_the_letter_loop(pairs, more):
+    # word_lamps reads an ``a`` and a ``b`` at a time, which is right only
+    # because every word alternates its generators and has no zero exponent.
+    u = GeneratorWord.from_letters(pairs)
+    v = parse_word(" ".join(f"{gen}^{exp}" for gen, exp in more))
+    assert GeneratorWord.from_letters([list(pair) for pair in pairs]) == u
+    for word in (u, v, u.inverse(), v.inverse(), u.concat(v), v.concat(u), u * u.inverse()):
+        assert all(type(pair) is tuple and pair[1] != 0 for pair in word.letters)
+        gens = [gen for gen, _ in word.letters]
+        assert all(x != y for x, y in zip(gens, gens[1:]))
+        assert word_lamps(word) == reference_word_lamps(word)

@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from solvkit.words import GeneratorWord
+from solvkit.words import GeneratorWord, word_lamps
 from solvkit.wreath import (
     WreathElement,
     element_from_json,
@@ -171,6 +171,40 @@ class TestEvaluation:
             assert wr_eval(u.concat(v), modulus) == wr_mul(
                 wr_eval(u, modulus), wr_eval(v, modulus)
             )
+
+
+    @pytest.mark.parametrize(
+        "modulus, error, message",
+        [(0, ValueError, "modulus must be at least 2 (or None for Z lamps)"),
+         (1, ValueError, "modulus must be at least 2 (or None for Z lamps)"),
+         (-2, ValueError, "modulus must be at least 2 (or None for Z lamps)"),
+         (True, TypeError, "modulus must be an integer, got bool"),
+         (2.5, TypeError, "modulus must be an integer, got float"),
+         ("3", TypeError, "modulus must be an integer, got str")],
+    )
+    def test_bad_modulus_raises_as_the_constructor_does(self, modulus, error, message):
+        # wr_eval builds its element unchecked, after checking the modulus alone
+        with pytest.raises(error) as built:
+            WreathElement.from_support({0: 1}, 0, modulus)
+        assert type(built.value) is error and str(built.value) == message
+        word = GeneratorWord.from_letters([("a", -1), ("b", 2), ("a", 1)])
+        for given_word in ("a^-1 b^2 a", word, "", GeneratorWord()):
+            with pytest.raises(error) as evaluated:
+                wr_eval(given_word, modulus)
+            assert type(evaluated.value) is error and str(evaluated.value) == message
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(min_value=-20, max_value=20)),
+             max_size=16),
+    st.sampled_from([None, 2, 3, 7, 10**20]),
+)
+def test_eval_is_the_checked_build_of_the_word_lamps(pairs, modulus):
+    word = GeneratorWord.from_letters(pairs)
+    element = WreathElement.from_support(*word_lamps(word), modulus)
+    assert wr_eval(word, modulus) == element
+    assert wr_eval(str(word), modulus) == element
 
 
 class TestWordProblem:

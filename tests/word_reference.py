@@ -1,7 +1,8 @@
 """``solvkit.words.parse_word`` as it stood before it split the text at
 each generator letter: one character at a time, left to right, merging
 adjacent powers as it goes.  Kept as the test oracle for the parser's
-letters, errors and columns.
+letters, errors and columns.  ``solvkit.words.word_lamps`` likewise, as it
+stood before it read the letters an ``a`` and a ``b`` at a time.
 """
 
 from __future__ import annotations
@@ -50,3 +51,15 @@ def reference_letters(text: str) -> tuple[tuple[str, int], ...]:
         else:
             merged.append((gen, exp))
     return tuple(merged)
+
+
+def reference_word_lamps(word) -> tuple[dict[int, int], int]:
+    """Lamp values (zeros kept) and shift of ``word`` in Z wr Z, one letter
+    at a time: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``."""
+    lamps, t = {}, 0
+    for gen, exp in word.letters:
+        if gen == "a":
+            t += exp
+        else:
+            lamps[-t] = lamps.get(-t, 0) + exp
+    return {pos + t: val for pos, val in lamps.items()}, t

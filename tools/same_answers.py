@@ -116,6 +116,21 @@ def _word(rng: random.Random, c: str) -> str:
     return " ".join(terms)
 
 
+def _runs(rng: random.Random, terms: int, zero_sum: bool) -> str:
+    """``terms`` terms in runs of one to four powers of one generator, the
+    generators taking turns, so that adjacent powers merge; with
+    ``zero_sum``, half of the runs end with the power that cancels them,
+    which lets the runs on either side merge in turn."""
+    out, gen = [], rng.choice("ab")
+    while len(out) < terms:
+        run = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+        if zero_sum and rng.random() < 0.5:
+            run.append(-sum(run))
+        out += [gen if exp == 1 else f"{gen}^{exp}" for exp in run]
+        gen = "b" if gen == "a" else "a"
+    return " ".join(out[:terms])
+
+
 def _scalar(rng: random.Random) -> str:
     n = rng.randint(-12, 12)
     den, exponent = rng.choice([1, 2, 3, 4, 6, 9, 12]), rng.randint(-2, 2)
@@ -225,6 +240,12 @@ def corpus(seed: int) -> tuple[list[list[str]], dict[str, str]]:
         "a^007 b a^-007", "a^-0 b^-0 a", "b^0", " \n\t\u3000", "a b " * 60 + "a^",
         "a^-1 b " * 60 + "x", "b^2" * 80 + "b^-", "a b^² a^-1", f"a^{huge} x", f"x a^{huge}",
         f"b a^-{huge}b^", f"a^{huge[:4300]} b a^-{huge[:4300]}",
+        # Zero-sum runs and cascades, a leading b and a trailing a, and
+        # 5,000-term words whose runs merge, drawn last from the seed.
+        "b a a^-1 b", "a b b^-1 a^-1", "a b a b^-1 a^-1 b^-1 a^-1 b",
+        "a b " * 300 + "b^-1 a^-1 " * 300, "b^2 a b^-1 a^3", "b a^-2 b^0 b^-1 a^2 a",
+        "b^-1 a b a^-1 b a",
+        _runs(rng, 5000, False), _runs(rng, 5000, True), _runs(rng, 5000, True),
     ]
     for word in parser_words:
         both("gc", "eval", "--c", "2,-1", word)
