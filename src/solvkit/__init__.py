@@ -3,7 +3,8 @@ wreath products over the integer line, and the integer matrix machinery
 (Smith normal form, minor gcds, banded relation matrices) they rest on,
 plus a seeded self-verification harness."""
 
-# Each exported name under the submodule that defines it.  Nothing is
+# Each exported name under the submodule that serves it (``gcgroup`` and
+# ``linalg`` serve the closed forms that ``forms`` defines).  Nothing is
 # imported until a name is first read (PEP 562), so ``import solvkit``, and
 # with it every ``python -m solvkit`` call, loads no submodule by itself.
 _EXPORTS = {

@@ -31,7 +31,11 @@ class _Parser(argparse.ArgumentParser):
 # Each handler maps ``args`` to ``(payload, text)``: the ``--json`` object and
 # the human-readable form, the latter built from the payload's decimal strings.
 # It imports the modules it runs, so that a call loads, and with no bytecode
-# cache compiles, only those.
+# cache compiles, only those: the commands whose answer is a closed form in the
+# signature (``gc is-proper``, ``abelianization``, ``interval``, ``index``) and
+# ``minkowski`` import ``forms`` alone, ``band`` adds ``linalg`` for its matrix,
+# and only ``gc eval``, ``is-identity`` and ``member`` import the residue core,
+# ``gcgroup``.
 
 
 def _fmt_rows(entries) -> str:
@@ -47,8 +51,8 @@ def _torsion(factors) -> str:
 
 
 def _signature(args):
-    from . import gcgroup
-    return gcgroup.parse_signature(args.c)
+    from . import forms
+    return forms.parse_signature(args.c)
 
 
 def _load_matrix(path: str):
@@ -72,21 +76,21 @@ def _cmd_gc_is_identity(args):
 
 
 def _cmd_gc_is_proper(args):
-    from . import gcgroup
-    return _flag("is_proper", gcgroup.gc_is_proper(_signature(args)))
+    from . import forms
+    return _flag("is_proper", forms.gc_is_proper(_signature(args)))
 
 
 def _cmd_gc_abelianization(args):
-    from . import gcgroup
-    free_rank, torsion = gcgroup.gc_abelianization(_signature(args))
+    from . import forms
+    free_rank, torsion = forms.gc_abelianization(_signature(args))
     factors = [str(f) for f in torsion]
     payload = {"free_rank": str(free_rank), "torsion_factors": factors}
     return payload, f"free rank {free_rank}, {_torsion(factors)}"
 
 
 def _cmd_gc_interval(args):
-    from . import gcgroup
-    report = gcgroup.interval_subgroup(_signature(args), args.low, args.high)
+    from . import forms
+    report = forms.interval_subgroup(_signature(args), args.low, args.high)
     factors = [str(f) for f in report.torsion_factors]
     payload = {
         "generators": str(report.generators),
@@ -101,9 +105,9 @@ def _cmd_gc_interval(args):
 
 
 def _cmd_gc_index(args):
-    from . import gcgroup
-    cap = gcgroup.DEFAULT_INDEX_WINDOW_CAP if args.cap is None else args.cap
-    index = str(gcgroup.power_subgroup_index(_signature(args), args.t, cap).index)
+    from . import forms
+    cap = forms.DEFAULT_INDEX_WINDOW_CAP if args.cap is None else args.cap
+    index = str(forms.power_subgroup_index(_signature(args), args.t, cap).index)
     return {"status": "index", "index": index}, f"index {index}"
 
 
@@ -143,8 +147,8 @@ def _cmd_minors(args):
 
 
 def _cmd_band(args):
-    from . import gcgroup, linalg
-    payload = linalg.matrix_to_json(gcgroup.band_matrix(_signature(args), args.m))
+    from . import forms, linalg
+    payload = linalg.matrix_to_json(forms.band_matrix(_signature(args), args.m))
     return payload, _fmt_rows(payload["entries"])
 
 
@@ -183,73 +187,82 @@ def _cmd_verify_all(args):
 
 
 def _cmd_minkowski(args):
-    from . import linalg
-    bound = str(linalg.minkowski_bound(args.n))
+    from . import forms
+    bound = str(forms.minkowski_bound(args.n))
     return {"n": str(args.n), "bound": bound}, bound
 
 
-def _build_parser() -> _Parser:
+_C = ("--c", {"required": True, "help": "signature, e.g. 2,-1"})
+_WORD = ("word", {"help": "word in a and b, e.g. 'a^-1 b a'"})
+_IN = ("--in", {"dest": "infile", "required": True})
+_WREATH = (("--mod", {"type": int, "default": None}), ("word", {}))
+# One row per command: its path, its handler, the help line its parent lists
+# for it (None for no line) and its arguments after ``--json``, in ``--help``
+# order.  Each group's subcommands are stored as ``<group>_command``.
+_COMMANDS = (
+    (("gc", "eval"), _cmd_gc_eval, None, (_C, _WORD)),
+    (("gc", "is-identity"), _cmd_gc_is_identity, None, (_C, _WORD)),
+    (("gc", "is-proper"), _cmd_gc_is_proper, None, (_C,)),
+    (("gc", "abelianization"), _cmd_gc_abelianization, None, (_C,)),
+    (("gc", "interval"), _cmd_gc_interval, None, (
+        _C,
+        ("--from", {"dest": "low", "type": int, "required": True}),
+        ("--to", {"dest": "high", "type": int, "required": True}),
+    )),
+    (("gc", "index"), _cmd_gc_index, None, (
+        _C, ("--t", {"type": int, "required": True}), ("--cap", {"type": int}),
+    )),
+    (("gc", "member"), _cmd_gc_member, None, (
+        _C,
+        ("--v", {"required": True, "help": "comma-separated rationals, e.g. 1/2,3"}),
+        ("--jmax", {"type": int}),
+    )),
+    (("snf",), _cmd_snf, "Smith normal form of a matrix file", (_IN,)),
+    (("minors",), _cmd_minors, "gcds of all k x k minors", (_IN,)),
+    (("band",), _cmd_band, "banded relation matrix", (
+        ("--c", {"required": True}), ("--m", {"type": int, "required": True}),
+    )),
+    (("wreath", "eval"), _cmd_wreath_eval, None, _WREATH),
+    (("wreath", "is-identity"), _cmd_wreath_is_identity, None, _WREATH),
+    (("verify", "all"), _cmd_verify_all, None, (
+        ("--seed", {"type": int, "default": None, "help": "defaults to $SOLVKIT_SEED or 0"}),
+    )),
+    (("minkowski",), _cmd_minkowski, "finite-subgroup order bound", (
+        ("--n", {"type": int, "required": True}),
+    )),
+)
+_GROUP_HELP = {
+    "gc": "coefficient-vector group operations",
+    "wreath": "wreath product operations",
+    "verify": "re-run the verification harness",
+}
+
+
+def _build_parser(argv=()) -> _Parser:
+    """The parser of every command; or, when ``argv`` starts with the whole
+    path of one command, only the parsers on that path, which parse, print
+    help and fail as they do in the whole tree.  Any other ``argv``, such as
+    ``--help``, a group alone, an unknown name or an option before the path,
+    needs the whole tree for its usage line and its list of choices."""
+    rows = [row for row in _COMMANDS if tuple(argv[: len(row[0])]) == row[0]] or _COMMANDS
     parser = _Parser(prog="solvkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(sp, name, handler, **kwargs):
-        p = sp.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="emit one JSON line")
-        p.set_defaults(handler=handler)
-        return p
-
-    gc = sub.add_parser("gc", help="coefficient-vector group operations")
-    gc_sub = gc.add_subparsers(dest="gc_command", required=True)
-
-    def add_gc(name, handler, word=False):
-        p = add(gc_sub, name, handler)
-        p.add_argument("--c", required=True, help="signature, e.g. 2,-1")
-        if word:
-            p.add_argument("word", help="word in a and b, e.g. 'a^-1 b a'")
-        return p
-
-    add_gc("eval", _cmd_gc_eval, word=True)
-    add_gc("is-identity", _cmd_gc_is_identity, word=True)
-    add_gc("is-proper", _cmd_gc_is_proper)
-    add_gc("abelianization", _cmd_gc_abelianization)
-    p = add_gc("interval", _cmd_gc_interval)
-    p.add_argument("--from", dest="low", type=int, required=True)
-    p.add_argument("--to", dest="high", type=int, required=True)
-    p = add_gc("index", _cmd_gc_index)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--cap", type=int)
-    p = add_gc("member", _cmd_gc_member)
-    p.add_argument("--v", required=True, help="comma-separated rationals, e.g. 1/2,3")
-    p.add_argument("--jmax", type=int)
-
-    p = add(sub, "snf", _cmd_snf, help="Smith normal form of a matrix file")
-    p.add_argument("--in", dest="infile", required=True)
-    p = add(sub, "minors", _cmd_minors, help="gcds of all k x k minors")
-    p.add_argument("--in", dest="infile", required=True)
-    p = add(sub, "band", _cmd_band, help="banded relation matrix")
-    p.add_argument("--c", required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    wr = sub.add_parser("wreath", help="wreath product operations")
-    wr_sub = wr.add_subparsers(dest="wreath_command", required=True)
-    for name, handler in (("eval", _cmd_wreath_eval), ("is-identity", _cmd_wreath_is_identity)):
-        p = add(wr_sub, name, handler)
-        p.add_argument("--mod", type=int, default=None)
-        p.add_argument("word")
-
-    vf = sub.add_parser("verify", help="re-run the verification harness")
-    vf_sub = vf.add_subparsers(dest="verify_command", required=True)
-    p = add(vf_sub, "all", _cmd_verify_all)
-    p.add_argument("--seed", type=int, default=None, help="defaults to $SOLVKIT_SEED or 0")
-
-    p = add(sub, "minkowski", _cmd_minkowski, help="finite-subgroup order bound")
-    p.add_argument("--n", type=int, required=True)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, handler, help_text, arguments in rows:
+        group = path[:-1]
+        if group not in subparsers:
+            node = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = node.add_subparsers(dest=f"{group[0]}_command", required=True)
+        leaf = subparsers[group].add_parser(path[-1], **({"help": help_text} if help_text else {}))
+        leaf.add_argument("--json", action="store_true", help="emit one JSON line")
+        for name, options in arguments:
+            leaf.add_argument(name, **options)
+        leaf.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         payload, text = args.handler(args)

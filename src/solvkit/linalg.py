@@ -4,8 +4,9 @@ Scalars are plain Python ``int`` and ``fractions.Fraction``, so every
 operation is arbitrary precision and nothing ever rounds.  The module
 provides an immutable dense matrix type, Smith normal form with unimodular
 transform matrices, gcds of k x k minors (brute force, oracle grade),
-integer linear system solving, exact matrix powers, and Minkowski's bound
-on the orders of the finite subgroups of GL_n(Z).
+integer linear system solving and exact matrix powers.  It re-exports
+Minkowski's bound on the orders of the finite subgroups of GL_n(Z), a
+closed form in :mod:`solvkit.forms`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._value import _power, _Value
+from .forms import MINKOWSKI_N_BUDGET, minkowski_bound  # noqa: F401  (re-exported)
 
 
 class DimensionError(ValueError):
@@ -481,38 +483,6 @@ def mat_pow(matrix: Matrix, exponent: int) -> Matrix:
         raise DimensionError("matrix power needs a square matrix")
     base = matrix.inverse() if exponent < 0 else matrix
     return _power(operator.mul, Matrix.identity(matrix.rows), base, abs(exponent))
-
-
-def _primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
-
-
-MINKOWSKI_N_BUDGET = 1331
-
-
-def minkowski_bound(n: int) -> int:
-    """A positive integer divisible by the order of every finite subgroup
-    of the n x n integer general linear group.
-
-    Computed by the classical exponent formula: for each prime
-    ``p <= n + 1`` the exponent of p is ``sum_k floor(n / (p^k (p-1)))``.
-    For ``n`` above ``MINKOWSKI_N_BUDGET`` the bound has more than 4,300
-    decimal digits, Python's limit for printing an int, so such ``n`` is
-    refused with ``ValueError``.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MINKOWSKI_N_BUDGET:
-        raise ValueError(f"n {n} is over the budget of {MINKOWSKI_N_BUDGET}")
-    bound = 1
-    for p in _primes_up_to(n + 1):
-        exponent = 0
-        pk = 1
-        while pk * (p - 1) <= n:
-            exponent += n // (pk * (p - 1))
-            pk *= p
-        bound *= p**exponent
-    return bound
 
 
 def matrix_to_json(matrix: Matrix) -> dict:

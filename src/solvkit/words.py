@@ -50,6 +50,10 @@ class GeneratorWord(_Value):
         return _word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def concat(self, other: "GeneratorWord") -> "GeneratorWord":
+        """The normalized product; the letters of a ``GeneratorWord`` are
+        checked already, so only those of any other ``other`` are checked."""
+        if isinstance(other, GeneratorWord):
+            return _word(_merge(self.letters + other.letters))
         return GeneratorWord.from_letters(self.letters + other.letters)
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":

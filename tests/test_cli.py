@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 import pytest
 
 import solvkit.verify
+from solvkit import cli
 from solvkit.cli import main
 from solvkit.gcgroup import (
     BAND_ROWS_BUDGET,
@@ -494,3 +496,67 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "all", "--seed", "0")
         assert code == 0
         assert "pass" in out and "total" in out
+
+
+# One valid argument list after each command's path.
+VALID = {
+    ("gc", "eval"): ["--c", "-2,3", "--json", "a b"],
+    ("gc", "is-identity"): ["--c=2,-1", "b"],
+    ("gc", "is-proper"): ["--c", "-1,1"],
+    ("gc", "abelianization"): ["--c", "1,1", "--json"],
+    ("gc", "interval"): ["--c", "2,-1", "--from", "-1", "--to", "3"],
+    ("gc", "index"): ["--c", "2,-1", "--t", "6", "--cap", "3"],
+    ("gc", "member"): ["--c", "2,-1", "--v", "-1/2", "--jmax", "4"],
+    ("snf",): ["--in", "m.json"],
+    ("minors",): ["--json", "--in", "m.json"],
+    ("band",): ["--c", "2,3", "--m", "2"],
+    ("wreath", "eval"): ["--mod", "3", "b a"],
+    ("wreath", "is-identity"): ["b"],
+    ("verify", "all"): ["--seed", "7"],
+    ("minkowski",): ["--n", "4"],
+}
+
+
+def leaf_parsers(parser, path=()):
+    """``{path: parser}`` for every command under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {path: parser}
+    return {leaf: p for a in subparsers for name, sub in a.choices.items()
+            for leaf, p in leaf_parsers(sub, path + (name,)).items()}
+
+
+def outcome(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+class TestParserOfOneCommand:
+    def test_every_command_has_a_valid_call(self):
+        assert sorted(leaf_parsers(cli._build_parser())) == sorted(VALID)
+
+    @pytest.mark.parametrize("path", sorted(VALID), ids=" ".join)
+    def test_path_parser_is_the_whole_tree_on_its_path(self, path):
+        whole = cli._build_parser()
+        argv = [*path, *VALID[path]]
+        alone = cli._build_parser(argv)
+        assert list(leaf_parsers(alone)) == [path]
+        assert leaf_parsers(alone)[path].format_help() == leaf_parsers(whole)[path].format_help()
+        parsed = outcome(whole, argv)
+        assert isinstance(parsed, dict) and parsed["handler"] is not None
+        assert outcome(alone, argv) == parsed
+        # with its path alone, a command with a required argument fails
+        assert outcome(cli._build_parser(list(path)), list(path)) == outcome(whole, list(path))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["gc"], ["gc", "--help"], ["gc", "ev"], ["--json", "gc", "eval"],
+        ["gc", "--c", "2,-1", "eval", "b"], ["Gc", "eval"], ["eval"],
+    ], ids=repr)
+    def test_any_other_argv_builds_the_whole_tree(self, argv):
+        assert sorted(leaf_parsers(cli._build_parser(argv))) == sorted(VALID)
+
+    def test_missing_argument_error_names_them_all(self):
+        assert outcome(cli._build_parser(["gc", "eval"]), ["gc", "eval"]) == (
+            "error: the following arguments are required: --c, word")

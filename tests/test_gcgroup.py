@@ -729,6 +729,23 @@ class TestElementJson:
         assert obj == {"translation": ["1/2", "-3"], "shift": "7"}
         assert element_from_json(obj) == g
 
+    def test_coordinates_print_as_their_fractions_without_building_them(self):
+        from solvkit.gcgroup import element_to_json
+
+        rng = random.Random(2203)
+        for _ in range(2000):
+            den = rng.choice([1, 2, 6, 9, 2 ** rng.randint(1, 80), rng.randint(1, 10**6)])
+            nums = tuple(
+                rng.choice([0, 1, -1, den, -den, rng.randint(-(10**9), 10**9)])
+                * rng.choice([1, 2, 3, den])
+                for _ in range(rng.randint(1, 4))
+            )
+            element = _element((nums, rng.choice([1, -1]) * den), 0)
+            printed = element_to_json(element)["translation"]
+            assert "translation" not in vars(element)
+            assert printed == [str(x) for x in element.translation]
+            assert printed == [str(Fraction(x, element._pair[1])) for x in element._pair[0]]
+
     def test_digit_limit_refusal_is_that_of_the_printed_numbers(self):
         # The bit lengths of the pair refuse early only what printing refuses.
         from solvkit.gcgroup import element_to_json

@@ -2,7 +2,8 @@
 
 With no bytecode cache (``PYTHONDONTWRITEBYTECODE``), every module a CLI
 call loads is compiled from source in that call, so a command loads only
-the modules it runs.
+the modules it runs, and of the standard library's ``fractions`` only what
+it builds.
 """
 
 import importlib
@@ -29,15 +30,19 @@ PUBLIC = [
 ]
 
 # Runs ``python -m solvkit`` in this interpreter, then lists the solvkit
-# submodules it loaded on the last line of stderr.
+# submodules it loaded, and ``fractions`` if it was loaded, on the last line
+# of stderr.
 PROBE = """
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("solvkit.")),
+atexit.register(lambda: print(*sorted(m for m in sys.modules
+                                      if m.startswith("solvkit.") or m == "fractions"),
                               file=sys.stderr))
 runpy.run_module("solvkit", run_name="__main__", alter_sys=True)
 """
-EVERY = {"_value", "cli", "gcgroup", "linalg", "verify", "words", "wreath"}
-GC = {"_value", "cli", "gcgroup", "words"}
+EVERY = {"_value", "cli", "forms", "gcgroup", "linalg", "verify", "words", "wreath", "fractions"}
+FORMS = {"_value", "cli", "forms"}
+GC = FORMS | {"gcgroup", "words"}
+LINALG = FORMS | {"linalg", "fractions"}
 WREATH = {"_value", "cli", "words", "wreath"}
 
 
@@ -58,15 +63,20 @@ def test_import_solvkit_loads_no_submodule():
 @pytest.mark.parametrize(
     "argv, code, modules",
     [
-        (["gc", "eval", "--c", "2,-1", "--json", "a^-1 b a"], 0, GC),
-        (["gc", "member", "--c", "2,-1", "--v", "1/2"], 0, GC | {"linalg"}),
+        # a rational answer, printed from the residue pair with no Fraction
+        (["gc", "eval", "--c", "2,-1", "--json", "a b a^-1"], 0, GC),
+        (["gc", "member", "--c", "2,-1", "--v", "1/2"], 0, GC | LINALG),
         (["wreath", "eval", "--mod", "3", "--json", "b a b"], 0, WREATH),
         (["wreath", "is-identity", "b x"], 1, WREATH),
-        (["minkowski", "--n", "2", "--json"], 0, {"_value", "cli", "linalg"}),
-        (["snf", "--in", "missing.json"], 1, {"_value", "cli", "linalg"}),
-        (["gc", "index", "--c", "2,-1", "--t", "4", "--json"], 0, GC),
-        (["gc", "is-proper", "--c", "1,3,1", "--json"], 0, GC),
-        (["band", "--c", "2,-1", "--m", "3", "--json"], 0, GC | {"linalg"}),
+        (["minkowski", "--n", "2", "--json"], 0, FORMS),
+        (["snf", "--in", "missing.json"], 1, LINALG),
+        (["gc", "index", "--c", "2,-1", "--t", "4", "--json"], 0, FORMS),
+        (["gc", "is-proper", "--c", "1,3,1", "--json"], 0, FORMS),
+        (["band", "--c", "2,-1", "--m", "3", "--json"], 0, LINALG),
+        (["gc", "is-identity", "--c", "2,-1", "--json", "a b a^-1"], 0, GC),
+        (["gc", "interval", "--c", "2,-1", "--from", "0", "--to", "2"], 0, FORMS),
+        (["gc", "abelianization", "--c", "2,-1", "--json"], 0, FORMS),
+        (["--help"], 0, {"cli"}),
     ],
 )
 def test_each_command_loads_only_what_it_runs(argv, code, modules):
@@ -85,7 +95,7 @@ def test_importtime_logs_every_solvkit_module_a_command_loads():
     *log, loaded = done.stderr.splitlines()
     logged = {line.rsplit("|", 1)[-1].strip() for line in log if line.startswith("import time:")}
     assert done.returncode == 0, done.stderr
-    assert set(loaded.split()) == {f"solvkit.{name}" for name in GC}
+    assert set(loaded.split()) == {f"solvkit.{name}" for name in GC}, done.stderr
     assert set(loaded.split()) <= logged
     assert not logged & {"dataclasses", "inspect"}
 
@@ -145,9 +155,36 @@ def test_unknown_attribute_raises():
     assert not hasattr(solvkit, "_no_such_name")
 
 
-def test_minkowski_bound_lives_in_linalg_and_verify_reexports_it():
+def test_minkowski_bound_lives_in_forms_and_linalg_and_verify_reexport_it():
     from solvkit.verify import MINKOWSKI_N_BUDGET
 
     assert solvkit.verify.minkowski_bound is solvkit.linalg.minkowski_bound
     assert solvkit.minkowski_bound is solvkit.linalg.minkowski_bound
+    assert solvkit.linalg.minkowski_bound is solvkit.forms.minkowski_bound
     assert MINKOWSKI_N_BUDGET == solvkit.linalg.MINKOWSKI_N_BUDGET
+
+
+# Each name that moved to ``forms``, under every module that served it before.
+MOVED = {
+    "gcgroup": (
+        "BAND_ROWS_BUDGET", "DEFAULT_INDEX_WINDOW_CAP", "GcSignature", "IntervalSubgroupReport",
+        "PowerIndexResult", "band_matrix", "gc_abelianization", "gc_is_proper",
+        "interval_subgroup", "parse_signature", "power_subgroup_index",
+    ),
+    "linalg": ("MINKOWSKI_N_BUDGET", "minkowski_bound"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MOVED.items() for n in names])
+def test_closed_forms_are_reexported_as_the_same_objects(module, name):
+    forms = importlib.import_module("solvkit.forms")
+    assert getattr(importlib.import_module(f"solvkit.{module}"), name) is getattr(forms, name)
+
+
+def test_forms_loads_no_other_solvkit_module_but_value():
+    probe = ("import sys, solvkit.forms; "
+             "print(sorted(m for m in sys.modules if m.startswith('solvkit.')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (0, "['solvkit._value', 'solvkit.forms']\n"), \
+        done.stderr

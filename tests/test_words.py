@@ -104,6 +104,23 @@ class TestWordAlgebra:
         word = parse_word("a^2 b^-1 a a^-1")
         assert word.letters == (("a", 2), ("b", -1))
         assert word.inverse().letters == (("b", 1), ("a", -2))
+        assert word.concat(word.inverse()).is_empty
+        assert (word * parse_word("b a")).letters == (("a", 3),)
+
+    def test_concat_checks_the_letters_of_what_is_no_word(self):
+        class Letters:
+            def __init__(self, letters):
+                self.letters = letters
+
+        word = parse_word("a b")
+        assert word.concat(Letters((("b", -1), ["a", 2]))) == parse_word("a^3")
+        assert word * Letters((("b", 0),)) == word
+        with pytest.raises(ValueError, match="unknown generator 'x'"):
+            word.concat(Letters((("x", 1),)))
+        with pytest.raises(TypeError, match="exponent must be an integer, got bool$"):
+            word.concat(Letters((("b", True),)))
+        with pytest.raises(AttributeError):
+            word.concat("b")
 
 
 def _outcome(parse, text):

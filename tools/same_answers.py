@@ -7,7 +7,8 @@ Both revisions are exported as ``tools/bench_pairs.py`` exports them.  One
 seeded corpus of command lines, built here and not by either tree, then
 runs through each tree's ``solvkit.cli.main``, each tree in its own
 process, with Python's default limit on decimal digits.  The corpus
-covers every subcommand in text and ``--json``, random signatures with
+covers every subcommand in text and ``--json`` and the ``--help`` of every
+command and group, random signatures with
 words that hide conjugated relators, ``gc member`` vectors, ``snf`` and
 ``minors`` matrix files, bad inputs, words that stress the parser, the
 edges of the residue budget and ``verify all`` at seeds 0 and 7.  The
@@ -227,6 +228,12 @@ def corpus(seed: int) -> tuple[list[list[str]], dict[str, str]]:
         "gc member --c 2,-1 --v x", "wreath eval --mod 1.5 b", "verify all --seed x", "snf",
         "minkowski --n two", "--help", "gc eval --help", "gc index --help", "gc member --help",
         "wreath eval --help", "minkowski --help", "snf --help", "verify all --help",
+        # help for the rest of the commands and the groups, groups alone, and
+        # calls that name no whole command path first
+        "gc is-identity --help", "gc is-proper --help", "gc abelianization --help",
+        "gc interval --help", "band --help", "minors --help", "wreath is-identity --help",
+        "gc --help", "wreath --help", "verify --help", "wreath", "verify", "gc frob b",
+        "gc ev --c 2,-1 b", "--json gc eval --c 2,-1 b", "gc --c 2,-1 eval b",
     ]
     for argv in bad:
         both(*argv.split())
