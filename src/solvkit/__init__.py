@@ -3,22 +3,25 @@ wreath products over the integer line, and the integer matrix machinery
 (Smith normal form, minor gcds, banded relation matrices) they rest on,
 plus a seeded self-verification harness."""
 
-# Each exported name under the submodule that serves it (``gcgroup`` and
-# ``linalg`` serve the closed forms that ``forms`` defines).  Nothing is
+# Each exported name under the submodule that defines it.  Nothing is
 # imported until a name is first read (PEP 562), so ``import solvkit``, and
-# with it every ``python -m solvkit`` call, loads no submodule by itself.
+# with it every ``python -m solvkit`` call, loads no submodule by itself, and
+# a closed form loads ``forms`` alone.  The star import leaves out the module
+# ``forms`` itself, whose names ``gcgroup`` and ``linalg`` also serve.
 _EXPORTS = {
+    "forms": (
+        "GcSignature", "IntervalSubgroupReport", "PowerIndexResult", "band_matrix",
+        "gc_abelianization", "gc_is_proper", "interval_subgroup", "minkowski_bound",
+        "parse_signature", "power_subgroup_index",
+    ),
     "gcgroup": (
-        "GcElement", "GcSignature", "IntervalSubgroupReport", "MembershipResult",
-        "PowerIndexResult", "band_matrix", "base_membership", "companion_action",
-        "gc_abelianization", "gc_eval", "gc_identity", "gc_inv", "gc_is_identity",
-        "gc_is_proper", "gc_mul", "gc_pow", "interval_subgroup", "parse_signature",
-        "power_subgroup_index", "relator_check",
+        "GcElement", "MembershipResult", "base_membership", "companion_action", "gc_eval",
+        "gc_identity", "gc_inv", "gc_is_identity", "gc_mul", "gc_pow", "relator_check",
     ),
     "linalg": (
         "DimensionError", "Matrix", "SingularMatrixError", "SNFResult", "exact_scalar",
-        "mat_pow", "matrix_from_json", "matrix_to_json", "minkowski_bound", "minor_gcds",
-        "snf", "solve_integer_system",
+        "mat_pow", "matrix_from_json", "matrix_to_json", "minor_gcds", "snf",
+        "solve_integer_system",
     ),
     "verify": ("LemmaReport", "run_all"),
     "words": ("GeneratorWord", "WordParseError", "format_word", "parse_word"),
@@ -29,6 +32,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_HOME]
+__all__.remove("forms")
 __version__ = "0.1.0"
 
 

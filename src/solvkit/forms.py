@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import solvkit
 
-from ._value import _Value
+from ._value import _int_only, _Value
 
 # ``band_matrix`` reads ``linalg`` as ``solvkit.linalg``, so the package's
 # ``__getattr__`` loads it on first use and the other answers skip it.
@@ -34,20 +34,17 @@ class GcSignature(_Value):
     """Validated coefficient vector; ``s`` is the top conjugation depth."""
 
     def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        self.__post_init__()
-        object.__setattr__(self, "s", len(self.coeffs) - 1)  # not a field
-
-    def __post_init__(self):
-        coeffs = self.coeffs
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in coeffs):
-            raise TypeError("signature coefficients must be integers")
+        coeffs = tuple(coeffs)
+        for x in coeffs:
+            _int_only(x, "signature coefficient")
         if len(coeffs) < 2:
             raise ValueError("signature needs at least two coefficients (s >= 1)")
         if coeffs[0] == 0 or coeffs[-1] == 0:
             raise ValueError("first and last coefficients must be nonzero")
         if math.gcd(*coeffs) != 1:
             raise ValueError("coefficients must have gcd 1")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "s", len(coeffs) - 1)  # not a field
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.coeffs)

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._value import _power, _Value
+from ._value import _int_only, _power, _Value
 from .forms import MINKOWSKI_N_BUDGET, minkowski_bound  # noqa: F401  (re-exported)
 
 
@@ -456,8 +456,8 @@ def solve_integer_system(matrix: Matrix, rhs: Sequence[int]) -> list[int] | None
     """
     if len(rhs) != matrix.rows:
         raise DimensionError("right-hand side length must equal the row count")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in rhs):
-        raise TypeError("right-hand side must be a vector of integers")
+    for x in rhs:
+        _int_only(x, "right-hand side entry")
     result = snf(matrix)
     transformed = matrix_times_column(result.left, list(rhs))
     factors = result.invariant_factors

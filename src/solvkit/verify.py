@@ -36,21 +36,18 @@ class LemmaReport(_Value):
 
     def __init__(self, lemma_id: str, cases_run: int, cases_passed: int,
                  first_failure: str | None = None):
+        if cases_passed > cases_run:
+            raise ValueError("cases_passed cannot exceed cases_run")
+        if (first_failure is not None) != (cases_passed < cases_run):
+            raise ValueError("first_failure must be present iff some case failed")
         object.__setattr__(self, "lemma_id", lemma_id)
         object.__setattr__(self, "cases_run", cases_run)
         object.__setattr__(self, "cases_passed", cases_passed)
         object.__setattr__(self, "first_failure", first_failure)
-        self.__post_init__()
 
     @property
     def passed(self) -> bool:
         return self.cases_passed == self.cases_run
-
-    def __post_init__(self):
-        if self.cases_passed > self.cases_run:
-            raise ValueError("cases_passed cannot exceed cases_run")
-        if (self.first_failure is not None) != (self.cases_passed < self.cases_run):
-            raise ValueError("first_failure must be present iff some case failed")
 
 
 class _Recorder:

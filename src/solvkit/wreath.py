@@ -23,19 +23,16 @@ class WreathElement(_Value):
 
     def __init__(self, support: tuple[tuple[int, int], ...], shift: int,
                  modulus: int | None = None):
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "modulus", modulus)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _require_modulus(self.modulus)
-        _int_only(self.shift, "shift")
-        support = tuple(self.support)
-        values = dict(support)
-        if len(values) != len(support):
+        _require_modulus(modulus)
+        _int_only(shift, "shift")
+        support = tuple(support)
+        lamps = dict(support)
+        if len(lamps) != len(support):
             raise ValueError("lamp positions must be distinct")
-        object.__setattr__(self, "support", _normalize_support(values, self.modulus))
+        # sorted() reads every position, so each is checked before any comparison
+        for pos in sorted(_int_only(pos, "lamp position") for pos in lamps):
+            _int_only(lamps[pos], "lamp value")
+        _store(self, lamps, shift, modulus)
 
     @classmethod
     def from_support(
@@ -67,32 +64,24 @@ def _require_modulus(modulus: int | None):
         raise ValueError("modulus must be at least 2 (or None for Z lamps)")
 
 
-def _normalize_support(
-    values: Mapping[int, int], modulus: int | None
-) -> tuple[tuple[int, int], ...]:
-    out = []
-    # sorted() reads every position, so each is checked before any comparison
-    for pos in sorted(_int_only(pos, "lamp position") for pos in values):
-        val = _int_only(values[pos], "lamp value")
-        if modulus is not None:
-            val %= modulus
-        if val != 0:
-            out.append((pos, val))
-    return tuple(out)
-
-
-def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathElement:
-    """The element of ``lamps``, reduced modulo ``modulus``, zero-free and
-    sorted, and ``shift``.  Products of checked elements need no check, so
-    ``__post_init__`` is skipped.  The fields are set one by one, as
+def _store(element: WreathElement, lamps: dict[int, int], shift: int,
+           modulus: int | None) -> WreathElement:
+    """Store ``lamps``, reduced modulo ``modulus``, zero-free and sorted, and
+    ``shift`` on ``element``, unchecked.  The fields are set one by one, as
     ``__dict__`` would turn every later read into a dict lookup."""
     if modulus is not None:
         lamps = {pos: val % modulus for pos, val in lamps.items()}
-    element = object.__new__(WreathElement)
     object.__setattr__(element, "support", tuple(sorted(item for item in lamps.items() if item[1])))
     object.__setattr__(element, "shift", shift)
     object.__setattr__(element, "modulus", modulus)
     return element
+
+
+def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathElement:
+    """The element of ``lamps`` and ``shift``, stored as the constructor
+    stores it but with none of its checks, which products of checked
+    elements and the lamps of a word always pass."""
+    return _store(object.__new__(WreathElement), lamps, shift, modulus)
 
 
 def _require_same_modulus(g: WreathElement, h: WreathElement):
@@ -153,7 +142,8 @@ def wr_base_relation(
     divisible by ``n``.
     """
     lamps = {i: _int_only(coeff, "coefficient") for i, coeff in enumerate(cvec)}
-    return WreathElement.from_support(lamps, 0, modulus)
+    _require_modulus(modulus)
+    return _element(lamps, 0, modulus)
 
 
 def element_to_json(element: WreathElement) -> dict:

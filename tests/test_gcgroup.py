@@ -82,6 +82,14 @@ class TestSignature:
         with pytest.raises(ValueError):
             GcSignature((2, 4))
 
+    @pytest.mark.parametrize("coeffs, kind", [((2, True), "bool"), ((2.0, -1), "float"),
+                                              ((2, "-1", 1.5), "str"), ("21", "str")])
+    def test_coefficients_are_integers_not_bools(self, coeffs, kind):
+        # the first coefficient that is no int, or is a bool, is named
+        with pytest.raises(TypeError) as caught:
+            GcSignature(coeffs)
+        assert str(caught.value) == f"signature coefficient must be an integer, got {kind}"
+
     def test_parse(self):
         assert parse_signature("1,0,5").coeffs == (1, 0, 5)
         with pytest.raises(ValueError):

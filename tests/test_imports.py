@@ -60,6 +60,16 @@ def test_import_solvkit_loads_no_submodule():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+def test_a_closed_form_read_from_the_package_loads_only_forms():
+    probe = ("import sys, solvkit; solvkit.gc_is_proper; solvkit.minkowski_bound; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('solvkit.') or m == 'fractions'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (0, "['solvkit._value', 'solvkit.forms']\n"), \
+        done.stderr
+
+
 @pytest.mark.parametrize(
     "argv, code, modules",
     [

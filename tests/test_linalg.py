@@ -429,6 +429,13 @@ class TestSolveIntegerSystem:
         with pytest.raises(DimensionError):
             solve_integer_system(Matrix([[1, 2]]), [1, 2])
 
+    @pytest.mark.parametrize("rhs, kind", [([1, True], "bool"), ([1.0, 2], "float"),
+                                           ([Fraction(1), 2], "Fraction")])
+    def test_right_hand_side_entries_are_integers_not_bools(self, rhs, kind):
+        with pytest.raises(TypeError) as caught:
+            solve_integer_system(Matrix.identity(2), rhs)
+        assert str(caught.value) == f"right-hand side entry must be an integer, got {kind}"
+
     def test_unsolvable_has_snf_certificate(self):
         rng = random.Random(99)
         checked_unsolvable = 0

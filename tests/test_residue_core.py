@@ -272,13 +272,13 @@ class TestElementResidue:
 
     def test_harness_checks_only_the_signatures_it_builds(self, monkeypatch):
         # every signature checked during a harness run is one the harness built
-        checked = GcSignature.__post_init__
+        checked = GcSignature.__init__
         callers = []
 
-        def recording(self):
-            callers.append(sys._getframe(2).f_globals["__name__"])
-            checked(self)
+        def recording(self, coeffs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            checked(self, coeffs)
 
-        monkeypatch.setattr(GcSignature, "__post_init__", recording)
+        monkeypatch.setattr(GcSignature, "__init__", recording)
         verify.run_all(3)
         assert callers and set(callers) == {"solvkit.verify"}

@@ -24,6 +24,38 @@ def test_no_bare_asserts_in_library():
     assert found == []
 
 
+def scopes(node, where):
+    """Each node under ``node``, with the dotted name of the module, class
+    and function it sits in."""
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        inner = f"{where}.{child.name}" if named else where
+        yield child, inner
+        yield from scopes(child, inner)
+
+
+def test_values_are_checked_once_with_one_int_test():
+    # A value class checks its fields in its own __init__, and an int that
+    # must be no bool is refused by _int_only; the other isinstance(.., bool)
+    # tests choose by type what to do with a value rather than refuse it.
+    nodes = [
+        (node, where)
+        for path in SOURCES
+        for node, where in scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    hooks = [where for node, where in nodes
+             if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    bool_tests = {
+        where
+        for node, where in nodes
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+        and ast.unparse(node.args[1]) == "bool"
+    }
+    assert nodes and hooks == []
+    assert bool_tests == {"_value._int_only", "linalg.exact_scalar", "linalg.scalar_from_str",
+                          "linalg.Matrix.__mul__"}
+
+
 def test_verify_all_is_the_same_under_optimize_flag():
     # python -O strips assert statements; the checks must not depend on them.
     command = ["-m", "solvkit", "verify", "all", "--seed", "0", "--json"]

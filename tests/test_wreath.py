@@ -70,6 +70,44 @@ class TestConstruction:
         assert WreathElement(((0, 1), (1, 2)), 0).support == ((0, 1), (1, 2))
 
 
+# Arguments that are wrong in several ways at once, with the one error each
+# gets: the modulus is checked first, then the shift, then the conversion of
+# the support to a tuple and a dict, then that its positions are distinct,
+# then every position (in the order given), then every value (from the
+# lowest position up).
+@pytest.mark.parametrize(
+    "build, args, error, message",
+    [
+        (WreathElement, (5, 1.5, True), TypeError, "modulus must be an integer, got bool"),
+        (WreathElement, (5, 1.5, 1), ValueError,
+         "modulus must be at least 2 (or None for Z lamps)"),
+        (WreathElement, (5, 1.5, 3), TypeError, "shift must be an integer, got float"),
+        (WreathElement, (5, 0), TypeError, "'int' object is not iterable"),
+        (WreathElement, (((0, 1), (0, 2), (1, 2, 3)), 0), ValueError,
+         "dictionary update sequence element #2 has length 3; 2 is required"),
+        (WreathElement, ((("x", 1), ("x", 2.5)), 0), ValueError,
+         "lamp positions must be distinct"),
+        (WreathElement, (((0, "v"), (2.5, 1), ("p", 1)), 0), TypeError,
+         "lamp position must be an integer, got float"),
+        (WreathElement, (((5, 2.5), (True, 1)), 0), TypeError,
+         "lamp position must be an integer, got bool"),
+        (WreathElement, (((1, 2.5), (0, "x")), 0), TypeError,
+         "lamp value must be an integer, got str"),
+        (WreathElement, (((1, 0), (0, 0.0)), 0, 2), TypeError,
+         "lamp value must be an integer, got float"),
+        (wr_base_relation, ((1, 2.5), 1), TypeError, "coefficient must be an integer, got float"),
+        (wr_base_relation, ((True, 2), "3"), TypeError, "coefficient must be an integer, got bool"),
+        (wr_base_relation, ((1, 2), True), TypeError, "modulus must be an integer, got bool"),
+        (wr_base_relation, ((1, 2), 1), ValueError,
+         "modulus must be at least 2 (or None for Z lamps)"),
+    ],
+)
+def test_construction_reports_the_first_error_in_a_fixed_order(build, args, error, message):
+    with pytest.raises(error) as caught:
+        build(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestMultiplication:
     def test_identity_neutral(self):
         g = WreathElement.from_support({0: 1, 2: -3}, 4)
@@ -90,8 +128,9 @@ class TestMultiplication:
             wr_mul(wr_eval("b"), wr_eval("b", modulus=2))
 
     def test_products_equal_the_checked_construction(self):
-        # wr_mul and wr_inv skip __post_init__; their results must equal, hash
-        # and print as the element from_support builds from the same lamps
+        # wr_mul and wr_inv skip the constructor's checks; their results must
+        # equal, hash and print as the element from_support builds from the
+        # same lamps
         rng = random.Random(23)
         for _ in range(300):
             modulus = rng.choice([None, 2, 3, 7])
