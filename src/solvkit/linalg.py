@@ -186,39 +186,37 @@ class Matrix:
             [[self._data[i][j] for j in col_indices] for i in row_indices]
         )
 
+    def _scaled_rows(self) -> tuple[list[list[int]], list[int]]:
+        """``N = D M``: fresh lists of the rows, each times the lcm ``d`` of
+        its denominators, and the list of the ``d``."""
+        scales = [math.lcm(*(x.denominator for x in row)) for row in self._data]
+        return [[int(x * d) for x in row] for row, d in zip(self._data, scales)], scales
+
     def det(self) -> Scalar:
         """Exact determinant: Bareiss elimination on the rows scaled to
         integers, divided by the product of the row scales."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        rows, scale = [], 1
-        for row in self._data:
-            d = math.lcm(*(x.denominator for x in row))
-            rows.append([int(x * d) for x in row])
-            scale *= d
-        return exact_scalar(Fraction(_det_bareiss(rows), scale))
+        rows, scales = self._scaled_rows()
+        return exact_scalar(Fraction(_det_bareiss(rows), math.prod(scales)))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan elimination over the rationals."""
+        """Exact inverse.  Bareiss elimination of ``[N | I]``, with ``N = D M``
+        the rows scaled to integers, leaves ``X = p N^-1`` on the right, p =
+        det N.  Every call checks the certificate ``N X == p I`` and raises
+        ``ArithmeticError`` when it fails; ``M^-1 = X D / p``."""
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
         n = self.rows
-        work = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self._data)
-        ]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [x / pivot for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+        rows, scales = self._scaled_rows()
+        work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        p = _det_bareiss(work)
+        if p == 0:
+            raise SingularMatrixError("matrix is singular")
+        x = [row[n:] for row in work]
+        if _product(rows, x, n) != [[p if i == j else 0 for j in range(n)] for i in range(n)]:
+            raise ArithmeticError("inverse certificate N*X == p*I failed")
+        return Matrix([[Fraction(v * d, p) for v, d in zip(row, scales)] for row in x])
 
 
 def _product(left, right, cols: int) -> list[list]:
@@ -238,28 +236,30 @@ def _product(left, right, cols: int) -> list[list]:
     return out
 
 
-def _det_bareiss(data) -> int:
-    # Fraction-free elimination: every division below is exact.
-    n = len(data)
-    a = [list(row) for row in data]
-    sign = 1
+def _det_bareiss(a: list[list[int]]) -> int:
+    """Fraction-free elimination (Bareiss 1968) of the n rows ``a`` of ints,
+    in place, with exact divisions; returns the determinant p of the first
+    n columns.  A square ``a`` is cleared below each pivot.  Wider rows
+    ``[N | B]`` are cleared above each pivot too (Gauss-Jordan), so when
+    p != 0 their last columns end as ``p N^-1 B``.  A row swap negates the
+    row it moves up, so p is the last pivot."""
+    n, width = len(a), len(a[0])
     prev = 1
-    for k in range(n - 1):
+    for k in range(n if width > n else n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+            a[k], a[i] = [-x for x in a[i]], a[k]
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, n) if width == n else [*range(k), *range(k + 1, n)]:
+            row = a[i]
+            f = row[k]  # column k is not read again, so it is left as it is
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def matrix_times_column(matrix: Matrix, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:

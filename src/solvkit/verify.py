@@ -1,16 +1,18 @@
 """Executable re-verification of the algebraic facts the library rests on.
 
-Every check runs concrete instances with exact arithmetic (tolerance is
-zero by definition) and reports counts instead of raising, so the harness
-behaves as a measurement instrument: failures are data.  All sampling is
+Every check yields concrete cases, each an exact test (tolerance is zero
+by definition) and its description, and ``_lemma`` reports their counts
+instead of raising, so the harness behaves as a measurement instrument:
+failures are data.  All sampling is
 driven by explicit ``random.Random`` instances, so a fixed seed gives a
 byte-identical run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from ._value import _Value
@@ -50,22 +52,27 @@ class LemmaReport(_Value):
         return self.cases_passed == self.cases_run
 
 
-class _Recorder:
-    def __init__(self, lemma_id: str):
-        self.lemma_id = lemma_id
-        self.run = 0
-        self.passed = 0
-        self.first_failure: str | None = None
+def _lemma(lemma_id: str):
+    """Turn a generator of ``(ok, description)`` cases into the check of
+    ``lemma_id``: it runs every case and reports how many ran and passed,
+    with the description of the first that failed."""
 
-    def case(self, ok: bool, description: str):
-        self.run += 1
-        if ok:
-            self.passed += 1
-        elif self.first_failure is None:
-            self.first_failure = description
+    def decorate(cases):
+        @functools.wraps(cases)
+        def check(*rng) -> LemmaReport:
+            run = passed = 0
+            first_failure = None
+            for ok, description in cases(*rng):
+                run += 1
+                if ok:
+                    passed += 1
+                elif first_failure is None:
+                    first_failure = description
+            return LemmaReport(lemma_id, run, passed, first_failure)
 
-    def report(self) -> LemmaReport:
-        return LemmaReport(self.lemma_id, self.run, self.passed, self.first_failure)
+        return check
+
+    return decorate
 
 
 def random_signature(
@@ -121,26 +128,25 @@ def _identity_block(m: int, cols: int) -> Matrix:
     return Matrix([[int(i == j) for j in range(cols)] for i in range(m)])
 
 
-def check_band_snf_identity(rng: random.Random) -> LemmaReport:
+@_lemma("band-matrix-snf-identity-block")
+def check_band_snf_identity(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """SNF of every banded relation matrix is the identity block (I_m | 0),
     for random signatures and 1 <= m <= 6."""
-    rec = _Recorder("band-matrix-snf-identity-block")
     pinned = [(GcSignature((2, 3)), 2)]
     cases = pinned + [(random_signature(rng), rng.randint(1, 6)) for _ in range(100)]
     for c, m in cases:
         smith = linalg.snf(band_matrix(c, m)).smith
-        rec.case(smith == _identity_block(m, m + c.s), f"c={c}, m={m}")
-    return rec.report()
+        yield smith == _identity_block(m, m + c.s), f"c={c}, m={m}"
 
 
-def check_snf_minor_gcds(rng: random.Random) -> LemmaReport:
+@_lemma("invariant-factors-vs-minor-gcds")
+def check_snf_minor_gcds(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """Invariant factors against the brute-force minor-gcd oracle.
 
     For each sampled integer matrix (up to 4 x 5, entries in [-9, 9]),
     ``sigma_i * gamma_{i-1} = gamma_i`` must hold up to the rank, where the
     gammas enumerate all minors.
     """
-    rec = _Recorder("invariant-factors-vs-minor-gcds")
     for _ in range(200):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
@@ -150,46 +156,43 @@ def check_snf_minor_gcds(rng: random.Random) -> LemmaReport:
         ok = all(
             sigmas[i] * gammas[i] == gammas[i + 1] for i in range(len(sigmas))
         ) and all(g == 0 for g in gammas[len(sigmas) + 1 :])
-        rec.case(ok, f"matrix={matrix!r}")
-    return rec.report()
+        yield ok, f"matrix={matrix!r}"
 
 
-def check_corner_minors(rng: random.Random) -> LemmaReport:
+@_lemma("banded-corner-minors")
+def check_corner_minors(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """The extreme maximal minors of the banded matrix are c_0^m and c_s^m,
     for random signatures and 1 <= m <= 6."""
-    rec = _Recorder("banded-corner-minors")
     pinned = [(GcSignature((2, 3)), 2)]
     cases = pinned + [(random_signature(rng), rng.randint(1, 6)) for _ in range(50)]
     for c, m in cases:
         matrix = band_matrix(c, m)
         left = matrix.submatrix(range(m), range(m)).det()
-        rec.case(left == c.coeffs[0] ** m, f"left window of c={c}, m={m}: {left}")
+        yield left == c.coeffs[0] ** m, f"left window of c={c}, m={m}: {left}"
         right = matrix.submatrix(range(m), range(c.s, c.s + m)).det()
-        rec.case(right == c.coeffs[-1] ** m, f"right window of c={c}, m={m}: {right}")
-    return rec.report()
+        yield right == c.coeffs[-1] ** m, f"right window of c={c}, m={m}: {right}"
 
 
-def check_relator_identities(rng: random.Random) -> LemmaReport:
+@_lemma("companion-model-satisfies-relations")
+def check_relator_identities(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """Model images satisfy the defining relations, word by word."""
-    rec = _Recorder("companion-model-satisfies-relations")
     for _ in range(100):
         c = random_signature(rng)
-        rec.case(relator_check(c), f"relator_check failed for c={c}")
-        rec.case(
+        yield relator_check(c), f"relator_check failed for c={c}"
+        yield (
             gc_is_identity(c, defining_relator_word(c)),
             f"defining relator word not trivial for c={c}",
         )
         i = rng.randint(-4, 4)
-        rec.case(
+        yield (
             gc_is_identity(c, conjugate_commutator_word(i)),
             f"commutator [b, b_{i}] not trivial for c={c}",
         )
-    return rec.report()
 
 
-def check_torsion_free(rng: random.Random) -> LemmaReport:
+@_lemma("torsion-free-power-probe")
+def check_torsion_free(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """No nontrivial element has finite order up to the 20th power."""
-    rec = _Recorder("torsion-free-power-probe")
     for _ in range(200):
         c = random_signature(rng)
         element = gc_identity(c)
@@ -202,30 +205,26 @@ def check_torsion_free(rng: random.Random) -> LemmaReport:
                 ok = False
                 break
             power = gc_mul(c, power, element)
-        rec.case(ok, f"torsion found: c={c}, element={element}")
-    return rec.report()
+        yield ok, f"torsion found: c={c}, element={element}"
 
 
-def check_bs_crosscheck() -> LemmaReport:
+@_lemma("baumslag-solitar-crosscheck")
+def check_bs_crosscheck() -> Iterator[tuple[bool, str]]:
     """Pinned sanity facts in the classic one-relator cases."""
-    rec = _Recorder("baumslag-solitar-crosscheck")
     c = GcSignature((2, -1))
-    rec.case(
+    yield (
         gc_eval(c, "a^-1 b a") == gc_eval(c, "b^2"),
         "conjugation by a must double b in G((2,-1))",
     )
-    rec.case(gc_is_proper(c), "G((2,-1)) must be proper")
-    rec.case(not gc_is_proper(GcSignature((1, 1))), "G((1,1)) must not be proper")
-    rec.case(
-        not gc_is_proper(GcSignature((1, 1, 1))), "G((1,1,1)) must not be proper"
-    )
-    rec.case(gc_is_proper(GcSignature((1, 3, 1))), "G((1,3,1)) must be proper")
-    return rec.report()
+    yield gc_is_proper(c), "G((2,-1)) must be proper"
+    yield not gc_is_proper(GcSignature((1, 1))), "G((1,1)) must not be proper"
+    yield not gc_is_proper(GcSignature((1, 1, 1))), "G((1,1,1)) must not be proper"
+    yield gc_is_proper(GcSignature((1, 3, 1))), "G((1,3,1)) must be proper"
 
 
-def check_power_index(rng: random.Random) -> LemmaReport:
+@_lemma("power-subgroup-index-bound")
+def check_power_index(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """Power-subgroup indexes divide t**s; pinned values hold."""
-    rec = _Recorder("power-subgroup-index-bound")
     pinned = [
         (GcSignature((2, -1)), 2, 1),
         (GcSignature((2, -1)), 3, 3),
@@ -233,7 +232,7 @@ def check_power_index(rng: random.Random) -> LemmaReport:
     ]
     for c, t, expected in pinned:
         result = power_subgroup_index(c, t)
-        rec.case(
+        yield (
             result.index == expected,
             f"index of <a, b^{t}> in G({c}) gave {result.index}, expected {expected}",
         )
@@ -242,14 +241,13 @@ def check_power_index(rng: random.Random) -> LemmaReport:
         t = rng.randint(1, 6)
         result = power_subgroup_index(c, t)
         ok = 1 <= result.index and t**c.s % result.index == 0
-        rec.case(ok, f"c={c}, t={t}: result={result.index}")
-    return rec.report()
+        yield ok, f"c={c}, t={t}: result={result.index}"
 
 
-def check_interval_subgroups(rng: random.Random) -> LemmaReport:
+@_lemma("interval-subgroups-free")
+def check_interval_subgroups(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """Interval subgroups are free abelian of rank min(generators, s), and
     the closed-form report matches the SNF of the banded presentation."""
-    rec = _Recorder("interval-subgroups-free")
     for _ in range(100):
         c = random_signature(rng)
         low = rng.randint(-5, 5)
@@ -261,13 +259,12 @@ def check_interval_subgroups(rng: random.Random) -> LemmaReport:
         from_snf = (report.generators - len(factors), tuple(f for f in factors if f > 1))
         expected = (min(report.generators, c.s), ())
         ok = (report.free_rank, report.torsion_factors) == from_snf == expected
-        rec.case(ok, f"c={c}, interval=[{low},{high}]: {report}")
-    return rec.report()
+        yield ok, f"c={c}, interval=[{low},{high}]: {report}"
 
 
-def check_wreath(rng: random.Random) -> LemmaReport:
+@_lemma("wreath-model-properties")
+def check_wreath(rng: random.Random) -> Iterator[tuple[bool, str]]:
     """Wreath model: base freeness, exponent law, conjugation shift, axioms."""
-    rec = _Recorder("wreath-model-properties")
 
     def random_element(modulus=None):
         lamps = {
@@ -279,7 +276,7 @@ def check_wreath(rng: random.Random) -> LemmaReport:
         cvec = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
         element = wr_base_relation(cvec)
         expect_trivial = all(x == 0 for x in cvec)
-        rec.case(
+        yield (
             element.is_identity == expect_trivial,
             f"base relation for cvec={cvec} gave {element}",
         )
@@ -287,7 +284,7 @@ def check_wreath(rng: random.Random) -> LemmaReport:
         modulus = rng.randint(2, 7)
         flat = random_element(modulus)
         flat = WreathElement(flat.support, 0, modulus)
-        rec.case(
+        yield (
             wr_pow(flat, modulus).is_identity,
             f"exponent law failed, modulus={modulus}, element={flat}",
         )
@@ -298,36 +295,34 @@ def check_wreath(rng: random.Random) -> LemmaReport:
         shift_in = wr_eval(GeneratorWord.from_letters([("a", -k)]))
         shift_out = wr_eval(GeneratorWord.from_letters([("a", k)]))
         conjugated = wr_mul(wr_mul(shift_in, g_flat), shift_out)
-        rec.case(
+        yield (
             conjugated.positions == tuple(p + k for p in g_flat.positions),
             f"conjugation by a^{k} did not shift support of {g_flat}",
         )
 
         x, y, z = random_element(), random_element(), random_element()
-        rec.case(
+        yield (
             wr_mul(wr_mul(x, y), z) == wr_mul(x, wr_mul(y, z)),
             f"associativity failed on {x}, {y}, {z}",
         )
-        rec.case(
+        yield (
             wr_mul(x, wr_inv(x)).is_identity and wr_mul(wr_inv(x), x).is_identity,
             f"inverse law failed on {x}",
         )
-    return rec.report()
 
 
-def check_minkowski() -> LemmaReport:
+@_lemma("finite-subgroup-order-bound")
+def check_minkowski() -> Iterator[tuple[bool, str]]:
     """Formula sanity: pinned small values and the divisibility chain."""
-    rec = _Recorder("finite-subgroup-order-bound")
-    rec.case(minkowski_bound(1) == 2, f"bound(1) = {minkowski_bound(1)}")
-    rec.case(minkowski_bound(2) == 24, f"bound(2) = {minkowski_bound(2)}")
+    yield minkowski_bound(1) == 2, f"bound(1) = {minkowski_bound(1)}"
+    yield minkowski_bound(2) == 24, f"bound(2) = {minkowski_bound(2)}"
     for n in range(1, 12):
-        rec.case(
+        yield (
             minkowski_bound(n + 1) % minkowski_bound(n) == 0,
             f"bound({n}) does not divide bound({n + 1})",
         )
     for n in range(2, 13):
-        rec.case(minkowski_bound(n) % 24 == 0, f"bound({n}) not divisible by 24")
-    return rec.report()
+        yield minkowski_bound(n) % 24 == 0, f"bound({n}) not divisible by 24"
 
 
 def run_all(seed: int = 0) -> list[LemmaReport]:

@@ -29,10 +29,11 @@ class WreathElement(_Value):
         lamps = dict(support)
         if len(lamps) != len(support):
             raise ValueError("lamp positions must be distinct")
-        # sorted() reads every position, so each is checked before any comparison
-        for pos in sorted(_int_only(pos, "lamp position") for pos in lamps):
-            _int_only(lamps[pos], "lamp value")
-        _store(self, lamps, shift, modulus)
+        for pos in lamps:
+            _int_only(pos, "lamp position")
+        # every value is checked, from the lowest position up, before a zero is dropped
+        _store(self, [item for item in sorted(lamps.items()) if _int_only(item[1], "lamp value")],
+               shift, modulus)
 
     @classmethod
     def from_support(
@@ -64,14 +65,15 @@ def _require_modulus(modulus: int | None):
         raise ValueError("modulus must be at least 2 (or None for Z lamps)")
 
 
-def _store(element: WreathElement, lamps: dict[int, int], shift: int,
+def _store(element: WreathElement, lamps: list[tuple[int, int]], shift: int,
            modulus: int | None) -> WreathElement:
-    """Store ``lamps``, reduced modulo ``modulus``, zero-free and sorted, and
-    ``shift`` on ``element``, unchecked.  The fields are set one by one, as
-    ``__dict__`` would turn every later read into a dict lookup."""
+    """Store ``lamps``, nonzero ``(position, value)`` pairs sorted by
+    position, reduced modulo ``modulus`` (dropping new zeros), and ``shift``
+    on ``element``, unchecked.  The fields are set one by one, as ``__dict__``
+    would turn every later read into a dict lookup."""
     if modulus is not None:
-        lamps = {pos: val % modulus for pos, val in lamps.items()}
-    object.__setattr__(element, "support", tuple(sorted(item for item in lamps.items() if item[1])))
+        lamps = [(pos, rest) for pos, val in lamps if (rest := val % modulus)]
+    object.__setattr__(element, "support", tuple(lamps))
     object.__setattr__(element, "shift", shift)
     object.__setattr__(element, "modulus", modulus)
     return element
@@ -81,7 +83,8 @@ def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathEl
     """The element of ``lamps`` and ``shift``, stored as the constructor
     stores it but with none of its checks, which products of checked
     elements and the lamps of a word always pass."""
-    return _store(object.__new__(WreathElement), lamps, shift, modulus)
+    nonzero = sorted(item for item in lamps.items() if item[1])
+    return _store(object.__new__(WreathElement), nonzero, shift, modulus)
 
 
 def _require_same_modulus(g: WreathElement, h: WreathElement):

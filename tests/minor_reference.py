@@ -1,6 +1,8 @@
 """The gcds of the minors as ``solvkit.linalg.minor_gcds`` took them before
 it expanded each minor along its last row: one Bareiss determinant per
 minor, on plain row slices.  Kept as the test oracle for ``minor_gcds``.
+``_det_bareiss`` eliminates in place, so each minor is passed as fresh
+lists.
 """
 
 from __future__ import annotations

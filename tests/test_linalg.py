@@ -185,6 +185,57 @@ class TestMatrixBasics:
             assert m.inverse() * m == Matrix.identity(n)
             produced += 1
 
+    @staticmethod
+    def rational_matrix(rng, n):
+        # about a third of the rows are all int, the rest have denominators
+        return Matrix(
+            [
+                [rng.randint(-5, 5) for _ in range(n)]
+                if rng.random() < 0.3
+                else [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+
+    def test_rational_inverse_and_negative_powers(self):
+        rng = random.Random(24)
+        produced = 0
+        while produced < 40:
+            n = rng.randint(1, 8)
+            m = self.rational_matrix(rng, n)
+            if m.det() == 0:
+                continue
+            inverse, one = m.inverse(), Matrix.identity(n)
+            assert m * inverse == one and inverse * m == one
+            k = rng.randint(1, 3)
+            assert mat_pow(m, -k) * mat_pow(m, k) == one
+            produced += 1
+
+    def test_rational_singular_inputs_raise(self):
+        rng = random.Random(25)
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            rows = [list(row) for row in self.rational_matrix(rng, n).rows_as_tuples()]
+            # the last row is a rational combination of the others (zero when n == 1)
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
+            rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+            rng.shuffle(rows)
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                Matrix(rows).inverse()
+
+    def test_inverse_certificate_rejects_a_wrong_elimination(self, monkeypatch):
+        original = linalg._det_bareiss
+
+        def perturbed(rows):
+            p = original(rows)
+            rows[-1][-1] += 1  # one entry of the right block
+            return p
+
+        monkeypatch.setattr(linalg, "_det_bareiss", perturbed)
+        for m in (Matrix([[2, 1], [1, 1]]), Matrix([[Fraction(1, 2), 3], [4, Fraction(-2, 3)]])):
+            with pytest.raises(ArithmeticError, match="inverse certificate"):
+                m.inverse()
+
 
 class TestSNF:
     def test_banded_example(self):

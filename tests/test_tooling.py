@@ -103,6 +103,23 @@ def test_each_check_runs_once_and_takes_only_rng():
     assert {name: args for name, args in checks.items() if args not in ("", "rng")} == {}
 
 
+def test_each_check_is_a_case_generator_under_one_lemma():
+    # _lemma's loop is the one place that counts cases and keeps the first
+    # failure; a check yields (ok, description) and holds no recorder.
+    tree = ast.parse((ROOT / "src" / "solvkit" / "verify.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    lemmas = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+            (decorator,) = node.decorator_list
+            assert isinstance(decorator, ast.Call) and ast.unparse(decorator.func) == "_lemma"
+            (lemma_id,) = decorator.args
+            assert isinstance(lemma_id, ast.Constant) and isinstance(lemma_id.value, str)
+            lemmas[node.name] = lemma_id.value
+    assert classes == ["LemmaReport"]
+    assert len(lemmas) == len(set(lemmas.values())) == 10
+
+
 def test_cli_prints_only_in_main():
     # Handlers return (payload, text); main is the one place that writes them.
     tree = ast.parse((ROOT / "src" / "solvkit" / "cli.py").read_text(encoding="utf-8"))

@@ -5,6 +5,7 @@ import pytest
 from finite_groups import finite_subgroup_orders
 
 import solvkit.linalg
+import solvkit.verify
 from solvkit.linalg import SNFResult
 from solvkit.verify import (
     LemmaReport,
@@ -127,6 +128,22 @@ class TestRunAll:
     def test_different_seeds_still_pass(self):
         assert all(r.passed for r in run_all(12345))
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_lemma_ids_and_case_counts_are_the_contract(self, seed):
+        # the lemma ids and case counts that `solvkit verify all --json` prints
+        assert [(r.lemma_id, r.cases_run) for r in run_all(seed)] == [
+            ("band-matrix-snf-identity-block", 101),
+            ("invariant-factors-vs-minor-gcds", 200),
+            ("banded-corner-minors", 102),
+            ("companion-model-satisfies-relations", 300),
+            ("torsion-free-power-probe", 200),
+            ("baumslag-solitar-crosscheck", 5),
+            ("power-subgroup-index-bound", 53),
+            ("interval-subgroups-free", 100),
+            ("wreath-model-properties", 500),
+            ("finite-subgroup-order-bound", 24),
+        ]
+
     def test_sampler_respects_constraints(self):
         rng = random.Random(0)
         for _ in range(200):
@@ -156,3 +173,9 @@ class TestMutationSmoke:
         report = check_band_snf_identity(random.Random(0))
         assert not report.passed
         assert report.first_failure is not None
+
+    def test_every_case_runs_and_the_first_failure_is_kept(self, monkeypatch):
+        monkeypatch.setattr(solvkit.verify, "gc_is_proper", lambda c: False)
+        report = check_bs_crosscheck()
+        assert (report.cases_run, report.cases_passed) == (5, 3)
+        assert report.first_failure == "G((2,-1)) must be proper"
