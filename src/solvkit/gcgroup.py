@@ -40,7 +40,7 @@ from .forms import (  # noqa: F401  (the closed forms, re-exported)
     parse_signature,
     power_subgroup_index,
 )
-from .words import GeneratorWord, parse_word, word_lamps
+from .words import GeneratorWord, word_lamps
 
 # The functions that use ``linalg`` read it as ``solvkit.linalg``, so the
 # package's ``__getattr__`` loads it on first use and commands without it
@@ -289,8 +289,6 @@ def gc_eval(c: GcSignature, word: GeneratorWord | str) -> GcElement:
     ``a`` maps to the pure shift ``(0, 1)`` and ``b`` to ``(1, 0)``; the
     empty word is the identity.  The residue is the lamp polynomial modulo ``c``.
     """
-    if isinstance(word, str):
-        word = parse_word(word)
     lamps, shift = word_lamps(word)
     return _element(_times_x_power(c, *_lamp_residue(c, lamps)), shift)
 
@@ -303,8 +301,6 @@ def gc_is_identity(c: GcSignature, word: GeneratorWord | str) -> bool:
     residue is measured from a lit lamp, not from 0: ``x`` is a unit modulo
     ``c`` (as ``c_0 != 0``), so that shift changes nothing but the cost.
     """
-    if isinstance(word, str):
-        word = parse_word(word)
     lamps, shift = word_lamps(word)
     return shift == 0 and not any(_lamp_residue(c, lamps)[0][0])
 

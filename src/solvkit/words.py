@@ -124,12 +124,14 @@ def _first_error(text: str) -> WordParseError:
             int(digits)
 
 
-def word_lamps(word: GeneratorWord) -> tuple[dict[int, int], int]:
+def word_lamps(word: GeneratorWord | str) -> tuple[dict[int, int], int]:
     """Lamp values (zeros kept) and shift of the word's image in Z wr Z, in
     one pass: ``b^e`` after a prefix of shift ``t`` lands at ``shift - t``.
-    A normalized word alternates its generators, so after a leading ``b``
-    the letters are read an ``a`` and a ``b`` at a time; an odd one out is
-    a trailing ``a``."""
+    Text is parsed first.  A normalized word alternates its generators, so
+    after a leading ``b`` the letters are read an ``a`` and a ``b`` at a
+    time; an odd one out is a trailing ``a``."""
+    if isinstance(word, str):
+        word = parse_word(word)
     letters = word.letters
     lamps, t = {}, 0
     if letters and letters[0][0] == "b":

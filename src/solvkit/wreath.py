@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from ._value import _int_only, _power, _Value
-from .words import GeneratorWord, parse_word, word_lamps
+from .words import GeneratorWord, word_lamps
 
 
 class WreathElement(_Value):
@@ -122,8 +122,6 @@ def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElem
     """Evaluate a word in ``a`` (shift) and ``b`` (lamp at the origin).  Only
     the modulus is checked, as the constructor would: the lamps of a word are
     ints at distinct positions already."""
-    if isinstance(word, str):
-        word = parse_word(word)
     lamps, shift = word_lamps(word)
     _require_modulus(modulus)
     return _element(lamps, shift, modulus)

@@ -8,7 +8,7 @@ import pytest
 from properness_reference import _divide_monic, trial_division_is_proper
 from window_search import stable_image_cardinality, window_search_index
 
-from solvkit import gcgroup
+from solvkit import gcgroup, linalg
 from solvkit.gcgroup import (
     BAND_ROWS_BUDGET,
     DEFAULT_INDEX_WINDOW_CAP,
@@ -580,6 +580,20 @@ class TestBaseMembership:
         result = base_membership(GcSignature((2, -1)), [Fraction(1, 2)], 2)
         assert result.is_member
         assert result.witness_dict() == {-1: 1}
+
+    def test_witness_certificate_refuses_a_wrong_solution(self, monkeypatch):
+        # 1/2 = x^-1 in G((2,-1)); a solver that answers one off in the first
+        # coordinate gives a witness whose residue is not the target.
+        solve = linalg.solve_integer_system
+
+        def one_off(matrix, rhs):
+            solution = solve(matrix, rhs)
+            return None if solution is None else [solution[0] + 1, *solution[1:]]
+
+        monkeypatch.setattr(linalg, "solve_integer_system", one_off)
+        with pytest.raises(ArithmeticError) as caught:
+            base_membership(GcSignature((2, -1)), [Fraction(1, 2)], 2)
+        assert str(caught.value) == "membership witness certificate failed"
 
     def test_third_not_found_in_bs12(self):
         result = base_membership(GcSignature((2, -1)), [Fraction(1, 3)], 10)

@@ -12,6 +12,7 @@ from solvkit.linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    SNFResult,
     mat_pow,
     matrix_from_json,
     matrix_to_json,
@@ -486,6 +487,22 @@ class TestSolveIntegerSystem:
         with pytest.raises(TypeError) as caught:
             solve_integer_system(Matrix.identity(2), rhs)
         assert str(caught.value) == f"right-hand side entry must be an integer, got {kind}"
+
+    def test_substitution_certificate_refuses_a_wrong_transform(self, monkeypatch):
+        # The solution of 2x + 3y = 1 is right times a nonzero y; one entry
+        # off in right gives a vector that the substitution check refuses.
+        original = linalg.snf
+
+        def perturbed(matrix):
+            result = original(matrix)
+            rows = [list(row) for row in result.right.rows_as_tuples()]
+            rows[0][0] += 1
+            return SNFResult(result.smith, result.left, Matrix(rows), result.invariant_factors)
+
+        monkeypatch.setattr(linalg, "snf", perturbed)
+        with pytest.raises(ArithmeticError) as caught:
+            solve_integer_system(Matrix([[2, 3]]), [1])
+        assert str(caught.value) == "integer solution substitution certificate failed"
 
     def test_unsolvable_has_snf_certificate(self):
         rng = random.Random(99)

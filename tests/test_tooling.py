@@ -105,7 +105,7 @@ def test_each_check_runs_once_and_takes_only_rng():
 
 def test_each_check_is_a_case_generator_under_one_lemma():
     # _lemma's loop is the one place that counts cases and keeps the first
-    # failure; a check yields (ok, description) and holds no recorder.
+    # failure; a check yields (ok, template, *args) and holds no recorder.
     tree = ast.parse((ROOT / "src" / "solvkit" / "verify.py").read_text(encoding="utf-8"))
     classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     lemmas = {}
@@ -118,6 +118,27 @@ def test_each_check_is_a_case_generator_under_one_lemma():
             lemmas[node.name] = lemma_id.value
     assert classes == ["LemmaReport"]
     assert len(lemmas) == len(set(lemmas.values())) == 10
+
+
+def test_failure_text_and_word_text_each_have_one_owner():
+    # _lemma formats a description only for the first failing case, so no
+    # check yields an f-string; word_lamps parses text, so the group models
+    # neither parse nor test for str.
+    tree = ast.parse((ROOT / "src" / "solvkit" / "verify.py").read_text(encoding="utf-8"))
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
+    formatted = [
+        f"{check.name}:{node.lineno}"
+        for check in checks
+        for node in ast.walk(check)
+        if isinstance(node, ast.Yield) and any(isinstance(n, ast.JoinedStr) for n in ast.walk(node))
+    ]
+    assert len(checks) == 10 and formatted == []
+    for name in ("gcgroup", "wreath"):
+        module = ast.parse((ROOT / "src" / "solvkit" / f"{name}.py").read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(module) if isinstance(node, ast.Call)]
+        assert [ast.unparse(call) for call in calls if ast.unparse(call.func) == "parse_word"
+                or ast.unparse(call.func) == "isinstance" and ast.unparse(call.args[1]) == "str"] == []
 
 
 def test_cli_prints_only_in_main():

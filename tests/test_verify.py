@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from finite_groups import finite_subgroup_orders
@@ -24,7 +25,14 @@ from solvkit.verify import (
     reports_to_json,
     run_all,
 )
-from solvkit.gcgroup import GcSignature, band_matrix
+from solvkit.gcgroup import (
+    GcSignature,
+    IntervalSubgroupReport,
+    PowerIndexResult,
+    band_matrix,
+    gc_identity,
+)
+from solvkit.wreath import WreathElement
 
 
 class TestLemmaReport:
@@ -179,3 +187,45 @@ class TestMutationSmoke:
         report = check_bs_crosscheck()
         assert (report.cases_run, report.cases_passed) == (5, 3)
         assert report.first_failure == "G((2,-1)) must be proper"
+
+
+# For each check, the library call it tests, a stand-in that makes its first
+# case fail, and the description that case reports.
+FIRST_FAILURES = [
+    (check_band_snf_identity, (solvkit.linalg, "snf"), lambda matrix: SimpleNamespace(smith=matrix),
+     "c=2,3, m=2"),
+    (check_snf_minor_gcds, (solvkit.linalg, "minor_gcds"), lambda matrix: (0,),
+     "matrix=Matrix([[-8, -1, 7, 6], [3, 0, 6, 2], [9, -3, 7, -5], [0, -5, -6, -1]])"),
+    (check_corner_minors, (solvkit.linalg.Matrix, "det"), lambda matrix: 0,
+     "left window of c=2,3, m=2: 0"),
+    (check_relator_identities, (solvkit.verify, "relator_check"), lambda c: False,
+     "relator_check failed for c=4,-8,-1,7,6"),
+    (check_relator_identities, (solvkit.verify, "gc_is_identity"), lambda c, word: False,
+     "defining relator word not trivial for c=4,-8,-1,7,6"),
+    (check_torsion_free, (solvkit.verify, "gc_mul"), lambda c, g, h: gc_identity(c),
+     "torsion found: c=4,-8,-1,7,6, element=GcElement(translation=(Fraction(-2, 3), "
+     "Fraction(4, 3), Fraction(1, 6), Fraction(-7, 6)), shift=4)"),
+    (check_bs_crosscheck, (solvkit.verify, "gc_eval"), lambda c, word: word,
+     "conjugation by a must double b in G((2,-1))"),
+    (check_power_index, (solvkit.verify, "power_subgroup_index"), lambda c, t: PowerIndexResult(0),
+     "index of <a, b^2> in G(2,-1) gave 0, expected 1"),
+    (check_interval_subgroups, (solvkit.verify, "interval_subgroup"),
+     lambda c, low, high: IntervalSubgroupReport(1, 0, 0, (2,)),
+     "c=4,-8,-1,7,6, interval=[1,5]: IntervalSubgroupReport(generators=1, relators=0, "
+     "free_rank=0, torsion_factors=(2,))"),
+    (check_wreath, (solvkit.verify, "wr_base_relation"), lambda cvec: WreathElement.identity(),
+     "base relation for cvec=[4, -8, -1, 7, 6, 3, 0] gave "
+     "WreathElement(support=(), shift=0, modulus=None)"),
+    (check_minkowski, (solvkit.verify, "minkowski_bound"), lambda n: 1, "bound(1) = 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, target, stand_in, expected", FIRST_FAILURES,
+    ids=[f"{check.__name__}-{target[1]}" for check, target, _, _ in FIRST_FAILURES],
+)
+def test_first_failure_text_is_pinned(monkeypatch, check, target, stand_in, expected):
+    monkeypatch.setattr(*target, stand_in)
+    takes_rng = check not in (check_bs_crosscheck, check_minkowski)
+    report = check(random.Random(0)) if takes_rng else check()
+    assert report.first_failure == expected

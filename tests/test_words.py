@@ -166,6 +166,21 @@ def test_parse_matches_the_character_loop():
     assert outcomes == {"word", "WordParseError", "ValueError"}
 
 
+def test_word_lamps_parses_text_itself():
+    # Text gives the lamps of its parsed word, or the parser's error with
+    # its message and column.
+    rng = random.Random(1616)
+    texts = [_random_text(rng) for _ in range(3000)] + ["", "c", "a q", "a^-", "b^1²", f"x a^{HUGE}"]
+    outcomes = set()
+    for text in texts:
+        new = _outcome(word_lamps, text)
+        assert new == _outcome(lambda t: word_lamps(parse_word(t)), text), repr(text[:80])
+        if new[0] == "word":
+            assert new[1] == reference_word_lamps(GeneratorWord(reference_letters(text)))
+        outcomes.add(new[0])
+    assert outcomes == {"word", "WordParseError", "ValueError"}
+
+
 def test_first_error_is_the_leftmost_for_every_hash_seed():
     # Distinct terms are taken in order of first appearance, so which error
     # wins does not depend on string hashing.

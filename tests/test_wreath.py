@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solvkit.words import GeneratorWord, word_lamps
+from solvkit.words import GeneratorWord, WordParseError, word_lamps
 from solvkit.wreath import (
     WreathElement,
     element_from_json,
@@ -122,6 +122,11 @@ class TestMultiplication:
     def test_mod_two_involution(self):
         b = wr_eval("b", modulus=2)
         assert wr_mul(b, b).is_identity
+
+    def test_eval_parses_the_text_before_it_checks_the_modulus(self):
+        with pytest.raises(WordParseError) as caught:
+            wr_eval("c", 1)
+        assert (str(caught.value), caught.value.column) == ("unknown letter 'c' (column 1)", 1)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
