@@ -43,7 +43,7 @@ class GcSignature(_Value):
             raise ValueError("first and last coefficients must be nonzero")
         if math.gcd(*coeffs) != 1:
             raise ValueError("coefficients must have gcd 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(coeffs)
         object.__setattr__(self, "s", len(coeffs) - 1)  # not a field
 
     def __str__(self) -> str:
@@ -161,10 +161,7 @@ class IntervalSubgroupReport(_Value):
 
     def __init__(self, generators: int, relators: int, free_rank: int,
                  torsion_factors: tuple[int, ...]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion_factors", torsion_factors)
+        self._set(generators, relators, free_rank, torsion_factors)
 
 
 def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupReport:
@@ -190,7 +187,7 @@ class PowerIndexResult(_Value):
     known and ``stabilized`` is always true."""
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
+        self._set(index)
 
     @property
     def stabilized(self) -> bool:

@@ -255,9 +255,7 @@ def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
     """``g^n`` by square-and-multiply; negative n inverts first."""
-    if n < 0:
-        return gc_pow(c, gc_inv(c, g), -n)
-    return _power(lambda x, y: gc_mul(c, x, y), gc_identity(c), g, n)
+    return _power(lambda x, y: gc_mul(c, x, y), gc_identity(c), g, n, lambda x: gc_inv(c, x))
 
 
 def _lamp_residue(c: GcSignature, lamps: dict[int, int]):
@@ -331,7 +329,7 @@ class MembershipResult(_Value):
     """
 
     def __init__(self, witness: tuple[tuple[int, int], ...] | None):
-        object.__setattr__(self, "witness", witness)
+        self._set(witness)
 
     @property
     def is_member(self) -> bool:

@@ -278,10 +278,7 @@ class SNFResult(_Value):
 
     def __init__(self, smith: Matrix, left: Matrix, right: Matrix,
                  invariant_factors: tuple[int, ...]):
-        object.__setattr__(self, "smith", smith)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
+        self._set(smith, left, right, invariant_factors)
 
 
 def snf(matrix: Matrix) -> SNFResult:
@@ -481,8 +478,7 @@ def mat_pow(matrix: Matrix, exponent: int) -> Matrix:
     """Exact n-th power of a square matrix; negative n inverts first."""
     if not matrix.is_square:
         raise DimensionError("matrix power needs a square matrix")
-    base = matrix.inverse() if exponent < 0 else matrix
-    return _power(operator.mul, Matrix.identity(matrix.rows), base, abs(exponent))
+    return _power(operator.mul, Matrix.identity(matrix.rows), matrix, exponent, Matrix.inverse)
 
 
 def matrix_to_json(matrix: Matrix) -> dict:

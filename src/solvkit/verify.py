@@ -43,10 +43,7 @@ class LemmaReport(_Value):
             raise ValueError("cases_passed cannot exceed cases_run")
         if (first_failure is not None) != (cases_passed < cases_run):
             raise ValueError("first_failure must be present iff some case failed")
-        object.__setattr__(self, "lemma_id", lemma_id)
-        object.__setattr__(self, "cases_run", cases_run)
-        object.__setattr__(self, "cases_passed", cases_passed)
-        object.__setattr__(self, "first_failure", first_failure)
+        self._set(lemma_id, cases_run, cases_passed, first_failure)
 
     @property
     def passed(self) -> bool:

@@ -40,20 +40,20 @@ class GeneratorWord(_Value):
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}")
             pairs.append((gen, _int_only(exp, "exponent")))
-        object.__setattr__(self, "letters", _merge(pairs))
+        self._set(_merge(pairs))
 
     @classmethod
     def from_letters(cls, pairs: Iterable[tuple[str, int]]) -> "GeneratorWord":
         return cls(pairs)
 
     def inverse(self) -> "GeneratorWord":
-        return _word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return GeneratorWord._unchecked(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def concat(self, other: "GeneratorWord") -> "GeneratorWord":
         """The normalized product; the letters of a ``GeneratorWord`` are
         checked already, so only those of any other ``other`` are checked."""
         if isinstance(other, GeneratorWord):
-            return _word(_merge(self.letters + other.letters))
+            return GeneratorWord._unchecked(_merge(self.letters + other.letters))
         return GeneratorWord.from_letters(self.letters + other.letters)
 
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
@@ -65,14 +65,6 @@ class GeneratorWord(_Value):
 
     def __str__(self) -> str:
         return format_word(self)
-
-
-def _word(letters: tuple[tuple[str, int], ...]) -> GeneratorWord:
-    """The word of ``letters``, already normalized, without the checks and
-    the merge of the constructor."""
-    word = object.__new__(GeneratorWord)
-    object.__setattr__(word, "letters", letters)
-    return word
 
 
 def _merge(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -108,7 +100,7 @@ def parse_word(text: str) -> GeneratorWord:
         if not _TERM.fullmatch(term):
             raise _first_error(text)
         table[term] = (term[0], int(term[2:]) if len(term) > 1 else 1)
-    return _word(_merge(map(table.__getitem__, terms)))
+    return GeneratorWord._unchecked(_merge(map(table.__getitem__, terms)))
 
 
 def _first_error(text: str) -> WordParseError:

@@ -32,8 +32,8 @@ class WreathElement(_Value):
         for pos in lamps:
             _int_only(pos, "lamp position")
         # every value is checked, from the lowest position up, before a zero is dropped
-        _store(self, [item for item in sorted(lamps.items()) if _int_only(item[1], "lamp value")],
-               shift, modulus)
+        nonzero = [item for item in sorted(lamps.items()) if _int_only(item[1], "lamp value")]
+        self._set(_reduced(nonzero, modulus), shift, modulus)
 
     @classmethod
     def from_support(
@@ -65,18 +65,13 @@ def _require_modulus(modulus: int | None):
         raise ValueError("modulus must be at least 2 (or None for Z lamps)")
 
 
-def _store(element: WreathElement, lamps: list[tuple[int, int]], shift: int,
-           modulus: int | None) -> WreathElement:
-    """Store ``lamps``, nonzero ``(position, value)`` pairs sorted by
-    position, reduced modulo ``modulus`` (dropping new zeros), and ``shift``
-    on ``element``, unchecked.  The fields are set one by one, as ``__dict__``
-    would turn every later read into a dict lookup."""
+def _reduced(lamps: list[tuple[int, int]], modulus: int | None) -> tuple[tuple[int, int], ...]:
+    """``lamps``, nonzero ``(position, value)`` pairs sorted by position,
+    reduced modulo ``modulus`` (dropping new zeros): the support of a
+    :class:`WreathElement`."""
     if modulus is not None:
         lamps = [(pos, rest) for pos, val in lamps if (rest := val % modulus)]
-    object.__setattr__(element, "support", tuple(lamps))
-    object.__setattr__(element, "shift", shift)
-    object.__setattr__(element, "modulus", modulus)
-    return element
+    return tuple(lamps)
 
 
 def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathElement:
@@ -84,7 +79,7 @@ def _element(lamps: dict[int, int], shift: int, modulus: int | None) -> WreathEl
     stores it but with none of its checks, which products of checked
     elements and the lamps of a word always pass."""
     nonzero = sorted(item for item in lamps.items() if item[1])
-    return _store(object.__new__(WreathElement), nonzero, shift, modulus)
+    return WreathElement._unchecked(_reduced(nonzero, modulus), shift, modulus)
 
 
 def _require_same_modulus(g: WreathElement, h: WreathElement):
@@ -113,9 +108,7 @@ def wr_inv(g: WreathElement) -> WreathElement:
 
 def wr_pow(g: WreathElement, n: int) -> WreathElement:
     """``g^n`` by square-and-multiply; negative n inverts first."""
-    if n < 0:
-        return wr_pow(wr_inv(g), -n)
-    return _power(wr_mul, WreathElement.identity(g.modulus), g, n)
+    return _power(wr_mul, WreathElement.identity(g.modulus), g, n, wr_inv)
 
 
 def wr_eval(word: GeneratorWord | str, modulus: int | None = None) -> WreathElement:

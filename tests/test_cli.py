@@ -445,6 +445,21 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith("solvkit: ") and err.count("\n") == 1
 
+    def test_bare_integer_matrix_entries_read_as_their_strings(self, capsys, tmp_path):
+        # a JSON integer entry is taken as the int it is; a JSON float is refused
+        files = {}
+        for name, entries in [("bare", [[2, "3"], [-4, 10]]), ("strings", [["2", "3"], ["-4", "10"]]),
+                              ("float", [[1.5, "3"], ["-4", "10"]])]:
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+        for command in ("snf", "minors"):
+            bare = run_cli(capsys, command, "--in", str(files["bare"]), "--json")
+            assert bare[0] == 0
+            assert bare == run_cli(capsys, command, "--in", str(files["strings"]), "--json")
+            code, out, err = run_cli(capsys, command, "--in", str(files["float"]), "--json")
+            assert (code, out) == (1, "")
+            assert err.startswith("solvkit: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "word",
         ["a^-20000 b a^20000", "a^" + "1" * 5000],

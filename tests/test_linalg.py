@@ -88,6 +88,39 @@ class TestMatrixBasics:
         assert 2 * a == Matrix([[2, 4], [6, 8]])
         assert a * Fraction(1, 2) == Matrix([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
 
+    def test_transpose_and_column(self):
+        a = Matrix([[1, Fraction(1, 2), 3], [4, 5, 6]])
+        assert a.transpose() == Matrix([[1, 4], [Fraction(1, 2), 5], [3, 6]])
+        assert a.column(1) == (Fraction(1, 2), 5)
+        assert [a.transpose().row(j) for j in range(3)] == [a.column(j) for j in range(3)]
+
+    def test_det_and_inverse_need_a_square_matrix(self):
+        with pytest.raises(DimensionError, match="square"):
+            Matrix([[1, 2]]).det()
+        with pytest.raises(DimensionError, match="square"):
+            Matrix([[1], [2]]).inverse()
+
+    def test_addition_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="equal shapes"):
+            Matrix([[1, 2]]) + Matrix([[1], [2]])
+        with pytest.raises(DimensionError, match="equal shapes"):
+            Matrix([[1, 2]]) - Matrix([[1, 2], [3, 4]])
+
+    def test_non_matrix_operands_are_not_implemented(self):
+        a = Matrix([[1, 2]])
+        for operate in (lambda: a + 1, lambda: a - 1, lambda: "x" * a):
+            with pytest.raises(TypeError):
+                operate()
+        assert a.__eq__(1) is NotImplemented
+        assert (a == 1) is False and a != 1
+
+    def test_matrix_times_column_needs_matching_length(self):
+        a = Matrix([[1, 2], [3, 4]])
+        assert linalg.matrix_times_column(a, [1, -1]) == (-1, -1)
+        for vector in ([1], [1, 2, 3]):
+            with pytest.raises(DimensionError, match="column count"):
+                linalg.matrix_times_column(a, vector)
+
     def test_multiplication_shape_mismatch(self):
         with pytest.raises(DimensionError):
             Matrix([[1, 2]]) * Matrix([[1, 2]])

@@ -56,6 +56,31 @@ def test_values_are_checked_once_with_one_int_test():
                           "linalg.Matrix.__mul__"}
 
 
+def test_values_are_stored_built_and_powered_in_one_place():
+    # _Value._set stores the fields and _Value._unchecked builds a value
+    # without the checks; GcElement stores a residue pair, which is no field,
+    # GcSignature stores s, and Matrix has __slots__.  _power owns the rule
+    # for a negative exponent.
+    calls = {"object.__new__": set(), "object.__setattr__": set()}
+    compares = {}
+    for path in SOURCES:
+        for node, where in scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
+                calls[ast.unparse(node.func)].add(where)
+            if isinstance(node, ast.FunctionDef) and node.name in ("gc_pow", "wr_pow", "mat_pow"):
+                exponent = node.args.args[-1].arg
+                compares[node.name] = [
+                    ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Compare)
+                    and exponent in {ast.unparse(side) for side in (n.left, *n.comparators)}
+                ]
+    assert calls["object.__new__"] == {"_value._Value._unchecked", "gcgroup._element",
+                                       "linalg.Matrix._of_int_rows"}
+    assert {where for where in calls["object.__setattr__"]
+            if not where.startswith(("_value.", "gcgroup.GcElement."))} == {
+        "gcgroup._element", "forms.GcSignature.__init__"}
+    assert compares == {"gc_pow": [], "wr_pow": [], "mat_pow": []}
+
+
 def test_verify_all_is_the_same_under_optimize_flag():
     # python -O strips assert statements; the checks must not depend on them.
     command = ["-m", "solvkit", "verify", "all", "--seed", "0", "--json"]

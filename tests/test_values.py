@@ -14,12 +14,15 @@ from solvkit.gcgroup import (
     IntervalSubgroupReport,
     MembershipResult,
     PowerIndexResult,
+    base_membership,
     gc_eval,
+    interval_subgroup,
+    power_subgroup_index,
 )
-from solvkit.linalg import Matrix, SNFResult
-from solvkit.verify import LemmaReport
+from solvkit.linalg import Matrix, SNFResult, snf
+from solvkit.verify import LemmaReport, run_all
 from solvkit.words import GeneratorWord, parse_word
-from solvkit.wreath import WreathElement
+from solvkit.wreath import WreathElement, wr_eval, wr_mul
 
 FIELDS = {
     GcSignature: ("coeffs",),
@@ -57,6 +60,22 @@ REPRS = [
      "LemmaReport(lemma_id='x', cases_run=3, cases_passed=2, first_failure='case 1 failed')"),
     (LemmaReport("y", 1, 1),
      "LemmaReport(lemma_id='y', cases_run=1, cases_passed=1, first_failure=None)"),
+    # one value from each library path that builds one
+    (interval_subgroup(GcSignature((2, -1)), 0, 2),
+     "IntervalSubgroupReport(generators=3, relators=2, free_rank=1, torsion_factors=())"),
+    (base_membership(GcSignature((2, -1)), (3,), 2), "MembershipResult(witness=((0, 3),))"),
+    (power_subgroup_index(GcSignature((2, -1)), 3), "PowerIndexResult(index=3)"),
+    (snf(Matrix([[2, 4], [6, 8]])),
+     "SNFResult(smith=Matrix([[2, 0], [0, 4]]), left=Matrix([[1, 0], [3, -1]]), "
+     "right=Matrix([[1, -2], [0, 1]]), invariant_factors=(2, 4))"),
+    (parse_word("a b^2"), "GeneratorWord(letters=(('a', 1), ('b', 2)))"),
+    (parse_word("a").inverse(), "GeneratorWord(letters=(('a', -1),))"),
+    (parse_word("a b").concat(parse_word("b^-1 a")), "GeneratorWord(letters=(('a', 2),))"),
+    (wr_eval("a b^-3 a^-1", 5), "WreathElement(support=((-1, 2),), shift=0, modulus=5)"),
+    (wr_mul(WreathElement(((0, 2),), 1), WreathElement(((1, -1), (3, 4)), -2)),
+     "WreathElement(support=((-2, 2), (1, -1), (3, 4)), shift=-1, modulus=None)"),
+    (run_all(0)[0], "LemmaReport(lemma_id='band-matrix-snf-identity-block', cases_run=101, "
+     "cases_passed=101, first_failure=None)"),
 ]
 VALUES = [value for value, _ in REPRS]
 IDS = [f"{type(value).__name__}-{i}" for i, value in enumerate(VALUES)]
