@@ -368,9 +368,7 @@ def base_membership(
     if j_max > MEMBERSHIP_WINDOW_BUDGET:
         raise ValueError(f"j_max {j_max} is over the budget of {MEMBERSHIP_WINDOW_BUDGET}")
     target_nums, target_den = _residue(target)
-    residues, den = [_reduce(c, [1], 1)], 1
-    while len(residues) < c.s:
-        residues.append(_canonical(_times_x_power(c, residues[-1], 1)))
+    residues, den = [(tuple([int(i == k) for k in range(c.s)]), 1) for i in range(c.s)], 1
     for j in range(j_max + 1):
         if j:
             residues.insert(0, _canonical(_times_x_power(c, residues[0], -1)))

@@ -62,16 +62,15 @@ def scalar_from_str(text) -> Scalar:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-class Matrix:
+class Matrix(_Value):
     """An immutable dense matrix of exact scalars.
 
     Entries are ``int`` or ``Fraction``; a matrix whose entries are all
     ``int`` is an *integer* matrix and is accepted by :func:`snf`,
-    :func:`minor_gcds` and :func:`solve_integer_system`.  Instances are
-    hashable and safe to share between threads.
+    :func:`minor_gcds` and :func:`solve_integer_system`.  The one field,
+    ``entries``, is the tuple of row tuples.  Instances are hashable and
+    safe to share between threads.
     """
-
-    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries: Iterable[Iterable]):
         # an all-int row is canonical as it is; bool is not int here
@@ -84,18 +83,15 @@ class Matrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionError("rows have inconsistent lengths")
-        self.rows = len(data)
-        self.cols = width
-        self._data = data
+        self._set(data)
 
-    @classmethod
-    def _of_int_rows(cls, rows: list[list[int]]) -> "Matrix":
-        """The matrix of ``rows``, nonempty lists of ``int`` of one length,
-        taken without the checks of the constructor."""
-        matrix = object.__new__(cls)
-        matrix._data = tuple(map(tuple, rows))
-        matrix.rows, matrix.cols = len(rows), len(rows[0])
-        return matrix
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -107,43 +103,31 @@ class Matrix:
 
     def __getitem__(self, index: tuple[int, int]) -> Scalar:
         i, j = index
-        return self._data[i][j]
+        return self.entries[i][j]
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._data[i]
+        return self.entries[i]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self._data)
+        return tuple(row[j] for row in self.entries)
 
     def rows_as_tuples(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._data
+        return self.entries
 
     @property
     def is_integer(self) -> bool:
-        return all(set(map(type, row)) <= {int} for row in self._data)
+        return all(set(map(type, row)) <= {int} for row in self.entries)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(self._data)
-
-    def __reduce__(self):
-        # pickle protocols 0 and 1 cannot save __slots__, so copies are rebuilt
-        return self.__class__, (self._data,)
-
     def __repr__(self) -> str:
-        body = ", ".join(repr(list(row)) for row in self._data)
+        body = ", ".join(repr(list(row)) for row in self.entries)
         return f"Matrix([{body}])"
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self._data])
+        return Matrix([[-x for x in row] for row in self.entries])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -153,7 +137,7 @@ class Matrix:
         return Matrix(
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
+                for r1, r2 in zip(self.entries, other.entries)
             ]
         )
 
@@ -168,29 +152,26 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            return Matrix(_product(self._data, other._data, other.cols))
+            return Matrix(_product(self.entries, other.entries, other.cols))
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Matrix([[x * other for x in row] for row in self._data])
+            return Matrix([[x * other for x in row] for row in self.entries])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar commutes with a matrix
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._data)))
+        return Matrix(list(zip(*self.entries)))
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
         return Matrix(
-            [[self._data[i][j] for j in col_indices] for i in row_indices]
+            [[self.entries[i][j] for j in col_indices] for i in row_indices]
         )
 
     def _scaled_rows(self) -> tuple[list[list[int]], list[int]]:
         """``N = D M``: fresh lists of the rows, each times the lcm ``d`` of
         its denominators, and the list of the ``d``."""
-        scales = [math.lcm(*(x.denominator for x in row)) for row in self._data]
-        return [[int(x * d) for x in row] for row, d in zip(self._data, scales)], scales
+        scales = [math.lcm(*(x.denominator for x in row)) for row in self.entries]
+        return [[int(x * d) for x in row] for row, d in zip(self.entries, scales)], scales
 
     def det(self) -> Scalar:
         """Exact determinant: Bareiss elimination on the rows scaled to
@@ -378,7 +359,7 @@ def snf(matrix: Matrix) -> SNFResult:
     right = [row[:cols] for row in w[rows:]]
     if _product(left, _product(matrix.rows_as_tuples(), right, cols), cols) != smith:
         raise ArithmeticError("SNF certificate L*M*R == S failed")
-    smith, left, right = map(Matrix._of_int_rows, (smith, left, right))
+    smith, left, right = [Matrix._unchecked(tuple(map(tuple, m))) for m in (smith, left, right)]
     return SNFResult(smith=smith, left=left, right=right, invariant_factors=factors)
 
 

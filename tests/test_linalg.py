@@ -113,6 +113,8 @@ class TestMatrixBasics:
                 operate()
         assert a.__eq__(1) is NotImplemented
         assert (a == 1) is False and a != 1
+        assert a.__rmul__(True) is NotImplemented and a.__rmul__("x") is NotImplemented
+        assert 2 * a == a * 2 and Fraction(1, 2) * a == a * Fraction(1, 2)
 
     def test_matrix_times_column_needs_matching_length(self):
         a = Matrix([[1, 2], [3, 4]])

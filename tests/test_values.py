@@ -1,4 +1,4 @@
-"""The contract of the nine immutable value classes: construction, fields,
+"""The contract of the ten immutable value classes: construction, fields,
 equality, hash, repr, immutability, pickling and copying.  The reprs are
 pinned to the bytes their earlier ``dataclass`` forms printed."""
 
@@ -34,6 +34,7 @@ FIELDS = {
     GeneratorWord: ("letters",),
     WreathElement: ("support", "shift", "modulus"),
     LemmaReport: ("lemma_id", "cases_run", "cases_passed", "first_failure"),
+    Matrix: ("entries",),
 }
 
 # (value, its repr); each class at least once, computed values among them.
@@ -76,6 +77,9 @@ REPRS = [
      "WreathElement(support=((-2, 2), (1, -1), (3, 4)), shift=-1, modulus=None)"),
     (run_all(0)[0], "LemmaReport(lemma_id='band-matrix-snf-identity-block', cases_run=101, "
      "cases_passed=101, first_failure=None)"),
+    (Matrix([[1, 2], [3, 4]]), "Matrix([[1, 2], [3, 4]])"),
+    (Matrix([[Fraction(1, 2), 3], [0, -4]]), "Matrix([[Fraction(1, 2), 3], [0, -4]])"),
+    (snf(Matrix([[2, 4], [6, 8]])).left, "Matrix([[1, 0], [3, -1]])"),
 ]
 VALUES = [value for value, _ in REPRS]
 IDS = [f"{type(value).__name__}-{i}" for i, value in enumerate(VALUES)]
@@ -144,20 +148,29 @@ def test_immutable(value):
     assert fields_of(value) == before and not hasattr(value, "new_name")
 
 
-# a Matrix has __slots__, which pickle protocols 0 and 1 cannot save by themselves
-PICKLED = [*REPRS, (Matrix([[Fraction(1, 2), 3], [0, -4]]), "Matrix([[Fraction(1, 2), 3], [0, -4]])")]
-
-
-@pytest.mark.parametrize("value, text", PICKLED, ids=[*IDS, "Matrix"])
+@pytest.mark.parametrize("value, text", REPRS, ids=IDS)
 def test_pickle_and_copy(value, text):
     copies = [pickle.loads(pickle.dumps(value, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in [*copies, copy.copy(value), copy.deepcopy(value)]:
         assert type(twin) is type(value) and twin == value and repr(twin) == text
         assert hash(twin) == hash(value)
-        if type(value) in FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(twin, FIELDS[type(value)][0], None)
+
+
+def test_matrix_shape_and_entries_cannot_change():
+    m = Matrix([[1, 2], [3, 4]])
+    found, result = {m}, snf(m)
+    for matrix in (m, result.smith):
+        for name in ("rows", "cols", "entries"):
             with pytest.raises(AttributeError):
-                setattr(twin, FIELDS[type(value)][0], None)
+                setattr(matrix, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(matrix, name)
+    assert (m.rows, m.cols, m.entries) == (2, 2, ((1, 2), (3, 4)))
+    assert result.smith == Matrix([[1, 0], [0, 2]]) and result.smith.rows == 2
+    assert m in found and Matrix([[1, 2], [3, 4]]) in found
 
 
 def test_post_init_checks_still_run():
