@@ -31,7 +31,10 @@ MINKOWSKI_N_BUDGET = 1331
 
 
 class GcSignature(_Value):
-    """Validated coefficient vector; ``s`` is the top conjugation depth."""
+    """Validated coefficient vector; ``s`` is the top conjugation depth,
+    stored beside the field ``coeffs``."""
+
+    _stored = ("coeffs", "s")
 
     def __init__(self, coeffs: tuple[int, ...]):
         coeffs = tuple(coeffs)
@@ -43,8 +46,7 @@ class GcSignature(_Value):
             raise ValueError("first and last coefficients must be nonzero")
         if math.gcd(*coeffs) != 1:
             raise ValueError("coefficients must have gcd 1")
-        self._set(coeffs)
-        object.__setattr__(self, "s", len(coeffs) - 1)  # not a field
+        self._set(coeffs, len(coeffs) - 1)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.coeffs)
@@ -64,7 +66,7 @@ def band_matrix(c: GcSignature, m: int) -> Matrix:
     the relation ``sum_i c_i b_{k+i}``: entry (i, j) is ``c_{j-i}`` when
     ``0 <= j-i <= s`` and zero otherwise.  It has ``m (m + s)`` entries,
     so ``m`` above ``BAND_ROWS_BUDGET`` is refused with ``ValueError``."""
-    if m < 1:
+    if _int_only(m, "m") < 1:
         raise ValueError("band matrix needs at least one row")
     if m > BAND_ROWS_BUDGET:
         raise ValueError(f"band matrix with {m} rows is over the budget of {BAND_ROWS_BUDGET}")
@@ -174,7 +176,7 @@ def interval_subgroup(c: GcSignature, low: int, high: int) -> IntervalSubgroupRe
     the report is ``relators = max(0, n - s)``, ``free_rank = min(n, s)``
     and no torsion.
     """
-    if low > high:
+    if _int_only(low, "low") > _int_only(high, "high"):
         raise ValueError("interval is empty: low > high")
     generators = high - low + 1
     return IntervalSubgroupReport(
@@ -220,9 +222,9 @@ def power_subgroup_index(
     ``index = t^s / prod_k (t_{G_k} t_{H_k})``, and ``t`` is never factored.
     ``j_cap`` must be nonnegative but does not affect the answer.
     """
-    if t < 1:
+    if _int_only(t, "t") < 1:
         raise ValueError("t must be a positive integer")
-    if j_cap < 0:
+    if _int_only(j_cap, "j_cap") < 0:
         raise ValueError("j_cap must be nonnegative")
     coeffs, s = c.coeffs, c.s
     denominator = 1
@@ -246,7 +248,7 @@ def minkowski_bound(n: int) -> int:
     decimal digits, Python's limit for printing an int, so such ``n`` is
     refused with ``ValueError``.
     """
-    if n < 1:
+    if _int_only(n, "n") < 1:
         raise ValueError("n must be at least 1")
     if n > MINKOWSKI_N_BUDGET:
         raise ValueError(f"n {n} is over the budget of {MINKOWSKI_N_BUDGET}")

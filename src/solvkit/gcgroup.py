@@ -62,32 +62,24 @@ class GcElement(_Value):
     v"; the product is ``(v1, k1) (v2, k2) = (v1 x^k2 + v2, k1 + k2)``,
     chosen so that evaluating ``a^-i b a^i`` yields ``(x^i, 0)``.
 
-    An element stores only its shift and ``v`` as its canonical residue pair
-    ``_pair``, which is no field, so ``hash``, ``repr`` and ``__match_args__``
-    see only ``(v, k)``; ``==`` and ``is_identity`` read ``(k, _pair)``, which
-    says the same, as each residue has one canonical pair.  ``translation`` is
-    built from the pair on first read.  The constructor checks its arguments;
-    every element the library computes skips the checks.
+    An element stores ``v`` as its canonical residue pair ``_pair`` and its
+    shift (``_stored``), and ``==`` compares them, which says the same as
+    comparing ``(v, k)``, as each residue has one canonical pair; ``hash``,
+    ``repr`` and ``__match_args__`` see ``(translation, shift)``.
+    ``translation`` is built from the pair on each read and never stored.
+    The constructor checks its arguments; every element the library
+    computes skips the checks.
     """
+
+    _stored = ("_pair", "shift")
 
     def __init__(self, translation: tuple[Scalar, ...], shift: int):
         pair = _residue([*map(solvkit.linalg.exact_scalar, translation)])
-        object.__setattr__(self, "shift", _int_only(shift, "shift"))
-        object.__setattr__(self, "_pair", pair)
+        self._set(pair, _int_only(shift, "shift"))
 
-    def __getattr__(self, name):
-        # Only reached while the element has no translation yet.
-        if name != "translation":
-            raise AttributeError(name)
-        object.__setattr__(self, "translation", _scalars(*self._pair))
-        return self.translation
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.shift == other.shift and self._pair == other._pair
-
-    __hash__ = _Value.__hash__
+    @property
+    def translation(self) -> tuple[Scalar, ...]:
+        return _scalars(*self._pair)
 
     @property
     def is_identity(self) -> bool:
@@ -211,17 +203,8 @@ def _scalars(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
 def _element(pair, shift: int) -> GcElement:
     """The element of residue ``pair``, in any form, stored as its
     :func:`_canonical` form, and integer ``shift``; neither needs the checks
-    of the constructor.  No field goes through ``__dict__``, which would make
-    every later read a dict lookup."""
-    element = object.__new__(GcElement)
-    object.__setattr__(element, "shift", shift)
-    object.__setattr__(element, "_pair", _canonical(pair))
-    return element
-
-
-def basis_orbit_vector(c: GcSignature, i: int) -> tuple[Scalar, ...]:
-    """The coefficients of ``x^i mod c``, the model image of the conjugate ``b_i``."""
-    return _scalars(*_times_x_power(c, _reduce(c, [1], 1), i))
+    of the constructor."""
+    return GcElement._unchecked(_canonical(pair), shift)
 
 
 def gc_identity(c: GcSignature) -> GcElement:
@@ -229,7 +212,7 @@ def gc_identity(c: GcSignature) -> GcElement:
 
 
 def _require_same_signature(c: GcSignature, element: GcElement):
-    # reads the pair, as reading ``translation`` would build it
+    # reads the pair, as each read of ``translation`` builds it
     if len(element._pair[0]) != c.s:
         raise ValueError(
             f"element has translation length {len(element._pair[0])}, "
@@ -255,6 +238,7 @@ def gc_inv(c: GcSignature, g: GcElement) -> GcElement:
 
 def gc_pow(c: GcSignature, g: GcElement, n: int) -> GcElement:
     """``g^n`` by square-and-multiply; negative n inverts first."""
+    _require_same_signature(c, g)
     return _power(lambda x, y: gc_mul(c, x, y), gc_identity(c), g, n, lambda x: gc_inv(c, x))
 
 
@@ -363,7 +347,7 @@ def base_membership(
     target = tuple(linalg.exact_scalar(x) for x in vector)
     if len(target) != c.s:
         raise linalg.DimensionError(f"vector length {len(target)} != s = {c.s}")
-    if j_max < 0:
+    if _int_only(j_max, "j_max") < 0:
         raise ValueError("j_max must be nonnegative")
     if j_max > MEMBERSHIP_WINDOW_BUDGET:
         raise ValueError(f"j_max {j_max} is over the budget of {MEMBERSHIP_WINDOW_BUDGET}")

@@ -18,7 +18,6 @@ from solvkit.gcgroup import (
     GcSignature,
     band_matrix,
     base_membership,
-    basis_orbit_vector,
     companion_action,
     gc_abelianization,
     gc_eval,
@@ -34,7 +33,7 @@ from solvkit.gcgroup import (
     relator_check,
 )
 from solvkit.gcgroup import _element, _reduce, _residue, _scalars, _times_x_power
-from solvkit.linalg import DimensionError, Matrix, mat_pow, snf, solve_integer_system
+from solvkit.linalg import DimensionError, Matrix, mat_pow, minkowski_bound, snf, solve_integer_system
 from solvkit.verify import (
     conjugate_commutator_word,
     defining_relator_word,
@@ -220,7 +219,7 @@ class TestWordEvaluation:
             c = random_signature(rng, s_max=4)
             i = rng.randint(-4, 4)
             word = f"a^{-i} b a^{i}"
-            assert gc_eval(c, word) == GcElement(basis_orbit_vector(c, i), 0)
+            assert gc_eval(c, word) == GcElement(orbit_oracle(c, i), 0)
 
     def test_homomorphism_on_concatenation(self):
         # word-problem soundness: 200 random words of letter length <= 30
@@ -262,7 +261,7 @@ class TestResidueCoreAgainstMatrixModel:
         for _ in range(6):
             c = random_signature(rng, s_max=4)
             for i in range(-30, 31):
-                assert basis_orbit_vector(c, i) == orbit_oracle(c, i)
+                assert gc_eval(c, f"a^{-i} b a^{i}").translation == orbit_oracle(c, i)
 
     def test_mul_and_inv(self):
         rng = random.Random(89)
@@ -285,7 +284,7 @@ class TestResidueCoreAgainstMatrixModel:
             a = companion_action(c)
             for k in range(-80, 81):
                 power = mat_pow(a, k)
-                assert basis_orbit_vector(c, k) == power.row(0)
+                assert gc_eval(c, f"a^{-k} b a^{k}").translation == power.row(0)
                 g, w = (gc_eval(c, random_word(rng)) for _ in range(2))
                 h = GcElement(w.translation, k)
                 moved = (Matrix([g.translation]) * power).row(0)
@@ -621,7 +620,7 @@ class TestBaseMembership:
             for _ in range(rng.randint(1, 4)):
                 power = rng.randint(-3, 3)
                 coeff = rng.randint(-4, 4)
-                vec = basis_orbit_vector(c, power)
+                vec = orbit_oracle(c, power)
                 target = [x + coeff * y for x, y in zip(target, vec)]
             result = base_membership(c, target, 5)
             assert result.is_member
@@ -703,6 +702,24 @@ class TestPowerSubgroupIndex:
         assert power_subgroup_index(GcSignature((2, -1)), 2**100 * odd).index == odd
         assert time.process_time() - start < 1
 
+
+
+@pytest.mark.parametrize("bad", [3.0, Fraction(3), True], ids=["float", "Fraction", "bool"])
+def test_closed_forms_refuse_non_int_arguments(bad):
+    # each value would pass the range checks, so only the type refuses it
+    c = GcSignature((2, -1))
+    calls = {
+        "low": lambda: interval_subgroup(c, bad, 3),
+        "high": lambda: interval_subgroup(c, 0, bad),
+        "t": lambda: power_subgroup_index(c, bad),
+        "j_cap": lambda: power_subgroup_index(c, 2, bad),
+        "m": lambda: band_matrix(c, bad),
+        "n": lambda: minkowski_bound(bad),
+        "j_max": lambda: base_membership(c, [1], bad),
+    }
+    for name, call in calls.items():
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {type(bad).__name__}$"):
+            call()
 
 class TestTorsionFreeness:
     def test_power_probe(self):

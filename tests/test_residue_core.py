@@ -196,7 +196,10 @@ class TestElementResidue:
                 assert gc_mul(c, x, y)._pair == fresh._pair
             assert gc_mul(c, g, h2) == gc_mul(c, g2, h) == gc_mul(c, g2, h2)
 
-    def test_translation_is_built_on_first_read(self):
+    def test_translation_is_built_on_each_read_and_never_stored(self):
+        # An element keeps its pair and shift only; reading translation,
+        # however often, stores nothing.
+        kept = {"_pair", "shift"}
         rng = random.Random(1206)
         for c in signatures(rng, 10):
             g, h = random_element(rng, c), random_element(rng, c)
@@ -204,20 +207,21 @@ class TestElementResidue:
             products.append(gc_mul(c, products[0], products[1]))
             products += [gc_eval(c, word) for word in words_with_conjugated_relators(rng, c, 3)]
             for computed in products:
-                assert "translation" not in vars(computed)
+                assert vars(computed).keys() == kept
                 assert computed.is_identity == (computed.shift == 0 and not any(computed._pair[0]))
-                assert "translation" not in vars(computed)
                 built = GcElement(computed.translation, computed.shift)
-                assert "translation" in vars(computed) and "translation" not in vars(built)
+                assert vars(computed).keys() == vars(built).keys() == kept
                 assert computed.translation == built.translation
                 assert [type(x) for x in computed.translation] == [type(x) for x in built.translation]
-        # A built element stores no translation either; read, it is the cleaned scalars.
+                assert vars(computed).keys() == vars(built).keys() == kept
+        # A built element's translation is the cleaned scalars, read after read.
         for translation in [(Fraction(4, 2), Fraction(-3, 6)), (1, Fraction(1, 3), -2), (Fraction(0, 5),), ()]:
             built = GcElement(translation, 3)
-            assert vars(built).keys() == {"shift", "_pair"}
+            assert vars(built).keys() == kept
             cleaned = tuple(map(exact_scalar, translation))
-            assert built.translation == cleaned and "translation" in vars(built)
-            assert [type(x) for x in built.translation] == [type(x) for x in cleaned]
+            for _ in range(2):
+                assert built.translation == cleaned and vars(built).keys() == kept
+                assert [type(x) for x in built.translation] == [type(x) for x in cleaned]
 
     def test_shift_refusal_names_the_type(self):
         for shift, name in [(1.0, "float"), (True, "bool"), ("1", "str")]:

@@ -57,13 +57,15 @@ def test_values_are_checked_once_with_one_int_test():
 
 
 def test_values_are_stored_built_and_powered_in_one_place():
-    # _Value._set stores the fields and _Value._unchecked builds a value
-    # without the checks; GcElement stores a residue pair, which is no field,
-    # and GcSignature stores s.  _Value owns equality, hash and pickling, so
-    # no class declares __slots__ or __reduce__.  _power owns the rule for a
-    # negative exponent.
+    # _Value._set stores what a value keeps (its _stored names, GcElement's
+    # residue pair and GcSignature's s among them), _Value._unchecked builds
+    # a value without the checks, and _Value.__eq__ compares values.  _Value
+    # owns hash and pickling too, so no class declares __slots__ or
+    # __reduce__, and no class builds an attribute on read through
+    # __getattr__; the package's module hook is the one __getattr__.  _power
+    # owns the rule for a negative exponent.
     calls = {"object.__new__": set(), "object.__setattr__": set()}
-    defined = {"__slots__": set(), "__reduce__": set(), "__eq__": set()}
+    defined = {"__slots__": set(), "__reduce__": set(), "__eq__": set(), "__getattr__": set()}
     compares = {}
     for path in SOURCES:
         for node, where in scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem):
@@ -79,12 +81,11 @@ def test_values_are_stored_built_and_powered_in_one_place():
                     ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Compare)
                     and exponent in {ast.unparse(side) for side in (n.left, *n.comparators)}
                 ]
-    assert calls["object.__new__"] == {"_value._Value._unchecked", "gcgroup._element"}
-    assert {where for where in calls["object.__setattr__"]
-            if not where.startswith(("_value.", "gcgroup.GcElement."))} == {
-        "gcgroup._element", "forms.GcSignature.__init__"}
+    assert calls == {"object.__new__": {"_value._Value._unchecked"},
+                     "object.__setattr__": {"_value._Value._set"}}
     assert defined == {"__slots__": set(), "__reduce__": set(),
-                       "__eq__": {"_value._Value.__eq__", "gcgroup.GcElement.__eq__"}}
+                       "__eq__": {"_value._Value.__eq__"},
+                       "__getattr__": {"__init__.__getattr__"}}
     assert compares == {"gc_pow": [], "wr_pow": [], "mat_pow": []}
 
 

@@ -16,13 +16,14 @@ from solvkit.gcgroup import (
     PowerIndexResult,
     base_membership,
     gc_eval,
+    gc_pow,
     interval_subgroup,
     power_subgroup_index,
 )
-from solvkit.linalg import Matrix, SNFResult, snf
+from solvkit.linalg import Matrix, SNFResult, mat_pow, snf
 from solvkit.verify import LemmaReport, run_all
 from solvkit.words import GeneratorWord, parse_word
-from solvkit.wreath import WreathElement, wr_eval, wr_mul
+from solvkit.wreath import WreathElement, wr_eval, wr_mul, wr_pow
 
 FIELDS = {
     GcSignature: ("coeffs",),
@@ -189,3 +190,17 @@ def test_structural_pattern_matching():
         case GcElement(translation, shift):
             pass
     assert (translation, shift) == ((4,), 1)
+
+
+def test_powers_check_their_arguments_before_they_loop():
+    c, g = GcSignature((2, -1)), GcElement((1,), 1)
+    powers = [lambda n: gc_pow(c, g, n), lambda n: wr_pow(WreathElement(((0, 1),), 1), n),
+              lambda n: mat_pow(Matrix([[1, 1], [0, 1]]), n)]
+    for n, name in [(1.5, "float"), (2.0, "float"), (Fraction(2), "Fraction"), (True, "bool")]:
+        for power in powers:
+            with pytest.raises(TypeError, match=f"^exponent must be an integer, got {name}$"):
+                power(n)
+    # an element of another signature is refused for every exponent, 0 included
+    for n in (0, 1, 2, -1):
+        with pytest.raises(ValueError, match="^element has translation length 2, signature expects 1$"):
+            gc_pow(c, GcElement((1, 2), 0), n)

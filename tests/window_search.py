@@ -14,13 +14,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from solvkit.gcgroup import DEFAULT_INDEX_WINDOW_CAP, GcSignature, basis_orbit_vector
+from solvkit.gcgroup import DEFAULT_INDEX_WINDOW_CAP, GcSignature, companion_action
 from solvkit.linalg import Matrix, snf
 
 
 def window_vectors(c: GcSignature, j: int) -> list[tuple]:
-    """Orbit window for symmetric depth j: powers -j .. j+s-1 (2j+s vectors)."""
-    return [basis_orbit_vector(c, i) for i in range(-j, j + c.s)]
+    """Orbit window for symmetric depth j: ``e_1 A^i`` for powers
+    -j .. j+s-1 (2j+s vectors), each one step of the companion matrix ``A``
+    or of its inverse from its neighbour, so the window does not rest on
+    the residue core it cross-checks."""
+    step = companion_action(c)
+    back = step.inverse()
+    first = Matrix([[int(k == 0) for k in range(c.s)]])
+    up, down = [first], [first]
+    for _ in range(j + c.s - 1):
+        up.append(up[-1] * step)
+    for _ in range(j):
+        down.append(down[-1] * back)
+    return [vector.row(0) for vector in down[:0:-1] + up]
 
 
 def lattice_covolume(vectors: list[tuple], s: int) -> Fraction:
