@@ -7,7 +7,7 @@ import time
 import pytest
 
 import solvkit.verify
-from solvkit import cli
+from solvkit import cli, gcgroup
 from solvkit.cli import main
 from solvkit.gcgroup import (
     BAND_ROWS_BUDGET,
@@ -387,7 +387,7 @@ class TestErrorPaths:
         )
         assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
-    def test_answer_over_the_digit_limit_is_refused_from_its_pair(self):
+    def test_answer_over_the_digit_limit_is_refused_from_its_pair(self, monkeypatch):
         # x^-262143 mod 3x^3 - x^2 + x + 2 has three coordinates of about
         # 415,000 bits over 262,144.  Building their Fractions takes nearly
         # twice as long as the evaluation; the refusal reads only the bit
@@ -397,9 +397,11 @@ class TestErrorPaths:
         start = time.perf_counter()
         element = gc_eval(GcSignature((2, 1, -1, 3)), word)
         spare = 1.5 * (time.perf_counter() - start) + 0.3
+        built = []  # each pair whose translation was built
+        monkeypatch.setattr(gcgroup, "_scalars", lambda *pair: built.append(pair))
         with pytest.raises(ValueError, match="over the limit of 4300 decimal digits"):
             element_to_json(element)
-        assert "translation" not in vars(element)
+        assert built == []
         result = subprocess.run(
             [sys.executable, "-m", "solvkit", "gc", "eval", "--c=2,1,-1,3", "--json", word],
             capture_output=True,

@@ -768,9 +768,11 @@ class TestElementJson:
         assert obj == {"translation": ["1/2", "-3"], "shift": "7"}
         assert element_from_json(obj) == g
 
-    def test_coordinates_print_as_their_fractions_without_building_them(self):
+    def test_coordinates_print_as_their_fractions_without_building_them(self, monkeypatch):
         from solvkit.gcgroup import element_to_json
 
+        built = []  # each pair whose translation was built
+        monkeypatch.setattr(gcgroup, "_scalars", lambda *pair: built.append(pair) or _scalars(*pair))
         rng = random.Random(2203)
         for _ in range(2000):
             den = rng.choice([1, 2, 6, 9, 2 ** rng.randint(1, 80), rng.randint(1, 10**6)])
@@ -780,14 +782,18 @@ class TestElementJson:
                 for _ in range(rng.randint(1, 4))
             )
             element = _element((nums, rng.choice([1, -1]) * den), 0)
+            built.clear()
             printed = element_to_json(element)["translation"]
-            assert "translation" not in vars(element)
+            assert built == []
             assert printed == [str(x) for x in element.translation]
             assert printed == [str(Fraction(x, element._pair[1])) for x in element._pair[0]]
 
-    def test_digit_limit_refusal_is_that_of_the_printed_numbers(self):
+    def test_digit_limit_refusal_is_that_of_the_printed_numbers(self, monkeypatch):
         # The bit lengths of the pair refuse early only what printing refuses.
         from solvkit.gcgroup import element_to_json
+
+        built = []  # each pair whose translation was built
+        monkeypatch.setattr(gcgroup, "_scalars", lambda *pair: built.append(pair) or _scalars(*pair))
 
         rng = random.Random(1701)
         limit = sys.get_int_max_str_digits()
@@ -807,6 +813,7 @@ class TestElementJson:
                     for _ in range(rng.randint(1, 3))
                 )
                 element = _element((nums, den), 0)
+                built.clear()
                 try:
                     printed = [str(x) for x in _scalars(*element._pair)]
                 except ValueError:
@@ -816,7 +823,7 @@ class TestElementJson:
                 except ValueError as exc:
                     assert printed is None
                     if str(exc) == "a number is over the limit of 640 decimal digits":
-                        early += "translation" not in vars(element)
+                        early += not built
             assert early > 100
             sys.set_int_max_str_digits(0)
             element = _element(((10**5000 + 1,), 3), 0)

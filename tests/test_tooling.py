@@ -59,13 +59,14 @@ def test_values_are_checked_once_with_one_int_test():
 def test_values_are_stored_built_and_powered_in_one_place():
     # _Value._set stores what a value keeps (its _stored names, GcElement's
     # residue pair and GcSignature's s among them), _Value._unchecked builds
-    # a value without the checks, and _Value.__eq__ compares values.  _Value
-    # owns hash and pickling too, so no class declares __slots__ or
+    # a value without the checks, and _Value.__eq__ and __hash__ compare and
+    # hash values.  _Value owns pickling too, so no class declares __slots__ or
     # __reduce__, and no class builds an attribute on read through
     # __getattr__; the package's module hook is the one __getattr__.  _power
     # owns the rule for a negative exponent.
     calls = {"object.__new__": set(), "object.__setattr__": set()}
-    defined = {"__slots__": set(), "__reduce__": set(), "__eq__": set(), "__getattr__": set()}
+    defined = {"__slots__": set(), "__reduce__": set(), "__eq__": set(), "__hash__": set(),
+               "__getattr__": set()}
     compares = {}
     for path in SOURCES:
         for node, where in scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem):
@@ -84,7 +85,7 @@ def test_values_are_stored_built_and_powered_in_one_place():
     assert calls == {"object.__new__": {"_value._Value._unchecked"},
                      "object.__setattr__": {"_value._Value._set"}}
     assert defined == {"__slots__": set(), "__reduce__": set(),
-                       "__eq__": {"_value._Value.__eq__"},
+                       "__eq__": {"_value._Value.__eq__"}, "__hash__": {"_value._Value.__hash__"},
                        "__getattr__": {"__init__.__getattr__"}}
     assert compares == {"gc_pow": [], "wr_pow": [], "mat_pow": []}
 
