@@ -103,17 +103,17 @@ def companion_action(c: GcSignature) -> Matrix:
     return solvkit.linalg.Matrix(rows)
 
 
-def _reduce(c: GcSignature, nums: list[int], den: int, low: int = 0):
-    """``(sum_j nums[j] x^(j + low)) / den mod c``, for ``low <= 0``, as
-    ``s`` integer numerators over one denominator: terms of degree ``s`` and
-    up are cancelled against ``c_s``, and terms below ``x^0`` against ``c_0``.
-    No gcd is taken, so the pair need not be in lowest terms, and its
-    denominator is negative when an odd number of steps scaled by a negative
-    ``c_s`` or ``c_0``; :func:`_canonical` gives the one pair of each residue.
-    It consumes ``nums``, so every caller passes a list of its own."""
+def _reduce(c: GcSignature, nums: list[int], den: int):
+    """``(sum_j nums[j] x^j) / den mod c`` as ``s`` integer numerators over
+    one denominator: terms of degree ``s`` and up are cancelled against
+    ``c_s``, from the top down.  No gcd is taken, so the pair need not be in
+    lowest terms, and its denominator is negative when an odd number of
+    steps scaled by a negative ``c_s``; :func:`_canonical` gives the one pair
+    of each residue.  It consumes ``nums``, so every caller passes a list of
+    its own."""
     coeffs, s = c.coeffs, c.s
-    lead, tail, high = coeffs[s], coeffs[0], coeffs[1:]
-    for _ in range(len(nums) - s + low):
+    lead = coeffs[s]
+    for _ in range(len(nums) - s):
         # Cancel the top term with a multiple of c, scaling by c_s unless it divides.
         q = nums.pop()
         if not q:
@@ -123,17 +123,7 @@ def _reduce(c: GcSignature, nums: list[int], den: int, low: int = 0):
         else:
             q //= lead
         nums[-s:] = [x - q * y for x, y in zip(nums[-s:], coeffs)]
-    nums += [0] * (s - low - len(nums))
-    for _ in range(-low):
-        # Cancel the bottom term likewise, scaling by c_0 unless it divides.
-        q = nums.pop(0)
-        if not q:
-            continue
-        if q % tail:
-            nums, den = [tail * x for x in nums], den * tail
-        else:
-            q //= tail
-        nums[:s] = [x - q * y for x, y in zip(nums, high)]
+    nums += [0] * (s - len(nums))
     return tuple(nums), den
 
 
@@ -152,8 +142,11 @@ def _mul(c: GcSignature, a, b):
 
 def _times_x_power(c: GcSignature, r, k: int):
     """``r x^k mod c``; a zero residue or ``k`` returns ``r`` as it is.  Up to
-    ``STEP_LIMIT`` steps, :func:`_reduce` cancels the Laurent polynomial
-    ``p x^k`` in one pass, for either sign of ``k``.  Beyond the limit,
+    ``STEP_LIMIT`` steps, ``r`` is multiplied by ``x`` (or ``x^-1``) one
+    degree at a time: the term shifted to ``x^s`` (or ``x^-1``) is cancelled
+    against ``c_s`` (or ``c_0``), scaling the step by that coefficient unless
+    it divides the term, so the pair need not be in lowest terms and its
+    denominator may be negative, as with :func:`_reduce`.  Beyond the limit,
     ``r`` is multiplied by square-and-multiply from the one-step base
     ``x^(+-1)``, which this short branch gives.
 
@@ -165,7 +158,23 @@ def _times_x_power(c: GcSignature, r, k: int):
     if not (k and any(r[0])):
         return r
     if abs(k) <= STEP_LIMIT:
-        return _reduce(c, [*(0,) * k, *r[0]], r[1], min(k, 0))
+        nums, den = r
+        coeffs = c.coeffs
+        if k < 0:
+            # x^-1 p = q mod c exactly when x p~ = q~ mod c~, where ~ reverses
+            # the s numerators and the s + 1 coefficients, so c~ has top coefficient c_0.
+            nums, coeffs = nums[::-1], coeffs[::-1]
+        lead, low = coeffs[-1], coeffs[:-1]
+        for _ in range(abs(k)):
+            # x p ends in p_(s-1) x^s: cancel it with c, scaling by its top coefficient
+            # unless that divides it.
+            q = nums[-1]
+            if q % lead:
+                nums, den = [lead * x - q * y for x, y in zip((0, *nums), low)], den * lead
+            else:
+                q //= lead
+                nums = [x - q * y for x, y in zip((0, *nums), low)]
+        return tuple(nums if k > 0 else nums[::-1]), den
     base, n = _canonical(_times_x_power(c, _reduce(c, [1], 1), 1 if k > 0 else -1)), abs(k)
     while n:
         if n & 1:

@@ -89,6 +89,34 @@ class TestAgainstEagerReference:
                 assert _canonical(_times_x_power(c, r, k)) == ref._times_x_power(c, r0, k), (c, k)
                 assert _canonical(_shift_add(c, r, k, v)) == ref._shift_add(c, r0, k, v0), (c, k)
 
+    # s = 1 and s > 1; |c_s| = 1 and > 1; |c_0| = 1 and > 1; c_s < 0 or c_0 < 0,
+    # where a scaled step flips the sign of the denominator
+    EDGE_SIGNATURES = [(3, -2), (1, 4), (-5, 1), (-1, 0, 2), (5, 1, -1), (2, 0, 0, 3),
+                       (-4, 1, 0, -3), (1, -2, 1), (-1, 3, 0, 1)]
+
+    def test_one_degree_steps_on_edge_signatures(self):
+        rng = random.Random(1211)
+        flipped = 0
+        for coeffs in self.EDGE_SIGNATURES:
+            c, s = GcSignature(coeffs), len(coeffs) - 1
+            units = [tuple(int(i == j) for i in range(s)) for j in (0, s - 1)]
+            # the zero residue, x^0 and x^(s-1), each scaled so that the first
+            # step divides, and residues in any form
+            residues = [((0,) * s, 1), ((0,) * s, -3)]
+            residues += [(unit, 1) for unit in units]
+            residues += [(tuple(coeffs[0] * x for x in units[0]), 1),
+                         (tuple(coeffs[-1] * x for x in units[1]), 1)]
+            residues += [form for _ in range(4) for form in random_residues(rng, s)]
+            for k in range(-STEP_LIMIT, STEP_LIMIT + 1):
+                for r in residues:
+                    v = rng.choice(residues)
+                    moved = _times_x_power(c, r, k)
+                    assert _canonical(moved) == ref._times_x_power(c, _canonical(r), k), (c, r, k)
+                    assert _canonical(_shift_add(c, r, k, v)) == ref._shift_add(
+                        c, _canonical(r), k, _canonical(v)), (c, r, k, v)
+                    flipped += (moved[1] < 0) != (r[1] < 0)
+        assert flipped
+
     def test_products_inverses_and_powers(self):
         rng = random.Random(1203)
         for c in signatures(rng, 20):

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from solvkit import cli
+from solvkit._value import _Value
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "solvkit").glob("*.py"))
@@ -57,21 +60,31 @@ def test_values_are_checked_once_with_one_int_test():
 
 
 def test_values_are_stored_built_and_powered_in_one_place():
-    # _Value._set stores what a value keeps (its _stored names, GcElement's
-    # residue pair and GcSignature's s among them), _Value._unchecked builds
-    # a value without the checks, and _Value.__eq__ and __hash__ compare and
-    # hash values.  _Value owns pickling too, so no class declares __slots__ or
-    # __reduce__, and no class builds an attribute on read through
-    # __getattr__; the package's module hook is the one __getattr__.  _power
-    # owns the rule for a negative exponent.
-    calls = {"object.__new__": set(), "object.__setattr__": set()}
+    # _value._builders generates each class's _set, which stores what a value
+    # keeps (its _stored names, GcElement's residue pair and GcSignature's s
+    # among them), and _unchecked, which builds a value without the checks;
+    # it is the one place that names object.__new__, object.__setattr__ or
+    # exec, _Value.__init_subclass__ the one place that assigns the two
+    # builders, and no class, _Value included, defines either itself.  No
+    # module stores into a value by setattr or through a __dict__; the one
+    # __dict__ read is of a class's own _stored.  _Value.__eq__ and __hash__
+    # compare and hash values.  _Value owns pickling too, so no class declares
+    # __slots__ or __reduce__, and no class builds an attribute on read
+    # through __getattr__; the package's module hook is the one __getattr__.
+    # _power owns the rule for a negative exponent.
+    named = {}
+    assigned = set()
     defined = {"__slots__": set(), "__reduce__": set(), "__eq__": set(), "__hash__": set(),
-               "__getattr__": set()}
+               "__getattr__": set(), "_set": set(), "_unchecked": set()}
     compares = {}
     for path in SOURCES:
         for node, where in scopes(ast.parse(path.read_text(encoding="utf-8")), path.stem):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
-                calls[ast.unparse(node.func)].add(where)
+            if (isinstance(node, ast.Attribute) and node.attr in ("__new__", "__setattr__", "__dict__")
+                    or isinstance(node, ast.Name) and node.id in ("setattr", "vars", "exec")):
+                named.setdefault(ast.unparse(node), set()).add(where)
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and node.attr in ("_set", "_unchecked")):
+                assigned.add((ast.unparse(node), where))
             if isinstance(node, ast.FunctionDef) and node.name in defined:
                 defined[node.name].add(where)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in defined:
@@ -82,12 +95,17 @@ def test_values_are_stored_built_and_powered_in_one_place():
                     ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Compare)
                     and exponent in {ast.unparse(side) for side in (n.left, *n.comparators)}
                 ]
-    assert calls == {"object.__new__": {"_value._Value._unchecked"},
-                     "object.__setattr__": {"_value._Value._set"}}
+    assert named == {"object.__new__": {"_value._builders"},
+                     "object.__setattr__": {"_value._builders"},
+                     "exec": {"_value._builders"},
+                     "cls.__dict__": {"_value._Value.__init_subclass__"}}
+    assert assigned == {("cls._set", "_value._Value.__init_subclass__"),
+                        ("cls._unchecked", "_value._Value.__init_subclass__")}
     assert defined == {"__slots__": set(), "__reduce__": set(),
                        "__eq__": {"_value._Value.__eq__"}, "__hash__": {"_value._Value.__hash__"},
-                       "__getattr__": {"__init__.__getattr__"}}
+                       "__getattr__": {"__init__.__getattr__"}, "_set": set(), "_unchecked": set()}
     assert compares == {"gc_pow": [], "wr_pow": [], "mat_pow": []}
+    assert not hasattr(_Value, "_set") and not hasattr(_Value, "_unchecked")
 
 
 def test_verify_all_is_the_same_under_optimize_flag():
@@ -242,6 +260,30 @@ def test_bench_pairs_summary_on_canned_runs():
     assert record["change_over_parent_median"]["wall_s"] == round(1.9 / 2.2, 4)
     assert record["runs"]["change"]["wall_s"] == [1.9, 2.4, 1.8, 1.7, 2.2]
     assert record["runs"]["parent"]["ops_per_s"] == [round(6 / w, 6) for w in (2.0, 2.4, 2.1, 2.2, 2.3)]
+
+
+def test_bench_pairs_refuses_an_unknown_claim_before_it_runs(monkeypatch, capsys, tmp_path):
+    # A claim names a workload and an end-to-end metric of BENCHMARK.json; a
+    # typo exits 2 before any revision is read, exported or run.
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("bench_pairs went on past a bad claim")
+
+    for name in ("git", "export", "run_bench"):
+        monkeypatch.setattr(bench_pairs, name, never)
+    out = tmp_path / "BENCH_0.json"
+    common = ["--parent", "HEAD~", "--change", "HEAD", "--seed", "1", "--pairs", "1",
+              "--title", "t", "--out", str(out), "--claim", "word-problem:wall_s"]
+    for claim in ("verify-harness:wall_ms", "verify_harness:wall_s", "verify-harness",
+                  "verify-harness:gcgroup.gc_mul.s", ":wall_s"):
+        with pytest.raises(SystemExit) as exited:
+            bench_pairs.main([*common, "--claim", claim])
+        assert exited.value.code == 2
+        assert f"--claim {claim}: not a workload and an end-to-end metric" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_same_answers_corpus_is_seeded_and_covers_every_command():

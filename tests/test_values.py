@@ -115,6 +115,24 @@ def test_constructors_by_position_and_keyword(value):
         cls(*fields, no_such_field=1)
 
 
+@pytest.mark.parametrize("cls", FIELDS, ids=[c.__name__ for c in FIELDS])
+def test_builders_take_exactly_the_stored_values(cls):
+    # _set and _unchecked are generated per class with one parameter per
+    # _stored name, so a value is never built or stored with one missing or
+    # one dropped.
+    value = next(v for v in VALUES if type(v) is cls)
+    stored = tuple(getattr(value, name) for name in cls._stored)
+    built = cls._unchecked(*stored)
+    assert type(built) is cls and built == value and repr(built) == repr(value)
+    assert tuple(vars(built)) == cls._stored
+    for wrong in (stored[:-1], (*stored, None)):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\._unchecked\(\) "):
+            cls._unchecked(*wrong)
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\._set\(\) "):
+            built._set(*wrong)
+    assert built == value and tuple(vars(built)) == cls._stored
+
+
 def test_defaults():
     assert GeneratorWord() == GeneratorWord(()) == GeneratorWord(letters=())
     assert WreathElement(((0, 1),), 2) == WreathElement(support=((0, 1),), shift=2, modulus=None)

@@ -110,7 +110,12 @@ def main(argv=None) -> int:
     seconds = contract["run_seconds"]
     claimed: dict[str, list[str]] = {}
     for claim in args.claim:
-        workload, metric = claim.split(":")
+        # refused before anything is exported or run: a claim is judged pair
+        # by pair, so it must name a workload and an end-to-end metric
+        workload, _, metric = claim.partition(":")
+        if workload not in workloads or metric not in better:
+            parser.error(f"--claim {claim}: not a workload and an end-to-end metric "
+                         f"of BENCHMARK.json")
         claimed.setdefault(workload, []).append(metric)
 
     bench = {
